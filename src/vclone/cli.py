@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from . import cloner, fock, optimizer, sampler
 from .cloner import QubitState
-from .mesh import MeshSpec
+from .mesh import MeshSpec, wrap_phases
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -149,6 +149,14 @@ def nm_from_config(config: dict) -> optimizer.NMConfig:
     return optimizer.NMConfig(**config.get("nm", {}), seed=config["seed"])
 
 
+def _field(name: str, build, *args):
+    """Call ``build(*args)``, reporting a bad value as a ConfigError naming the field."""
+    try:
+        return build(*args)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"invalid {name}: {exc}") from None
+
+
 class RunManifest:
     """Ledger of a run directory: config hash, seed, timestamps, outputs."""
 
@@ -203,30 +211,29 @@ def main() -> None:
               help="Override the shot budget per evaluation ('exact' or an integer).")
 def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: str | None) -> None:
     """Run a training task and persist traces, summary, and best parameters."""
-    config, raw = load_config(config_path)
+    config, _ = load_config(config_path)
     if seed is not None:
         config["seed"] = seed
     if shots is not None:
-        config.setdefault("noise", {})["shots"] = "exact" if shots == "exact" else int(shots)
-    run_dir = Path(out_dir or config.get("output_dir", "runs/latest"))
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(json.dumps(config, indent=2) + "\n")
-
-    spec = mesh_from_config(config)
-    noise = noise_from_config(config)
-    cfg = nm_from_config(config)
+        shots_value = "exact" if shots == "exact" else _field("--shots", int, shots)
+        config.setdefault("noise", {})["shots"] = shots_value
+    spec = _field("mesh", mesh_from_config, config)
+    noise = _field("noise", noise_from_config, config)
+    cfg = _field("nm", nm_from_config, config)
     restarts = config.get("restarts", 1)
+
+    def evaluator_for(restart: int):
+        if noise.shots is None:
+            return None
+        restart_noise = sampler.NoiseConfig(shots=noise.shots, seed=noise.seed + restart)
+        return sampler.sampled_evaluator(restart_noise, spec)
 
     if config["task"] == "pc":
         states = [QubitState.equatorial(phi) for phi in cloner.TRAINING_PHASES]
         state_ids = [f"equatorial phi={phi:.6f}" for phi in cloner.TRAINING_PHASES]
 
         def task_for(restart: int) -> optimizer.Task:
-            evaluator = None
-            if noise.shots is not None:
-                restart_noise = sampler.NoiseConfig(shots=noise.shots, seed=noise.seed + restart)
-                evaluator = sampler.sampled_evaluator(restart_noise, spec)
-            return optimizer.pc_task(spec, evaluator=evaluator)
+            return optimizer.pc_task(spec, evaluator=evaluator_for(restart))
 
         def noiseless_cost(params):
             return cloner.cost_pc(params, spec)
@@ -240,15 +247,16 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
         state_ids = ["A", "B"]
 
         def task_for(restart: int) -> optimizer.Task:
-            evaluator = None
-            if noise.shots is not None:
-                restart_noise = sampler.NoiseConfig(shots=noise.shots, seed=noise.seed + restart)
-                evaluator = sampler.sampled_evaluator(restart_noise, spec)
-            return optimizer.sd_task(psi_a, psi_b, lam, spec, evaluator=evaluator)
+            return optimizer.sd_task(psi_a, psi_b, lam, spec, evaluator=evaluator_for(restart))
 
         def noiseless_cost(params):
             return cloner.cost_sd(params, psi_a, psi_b, lam, spec)
 
+    _field("mesh", task_for, 0)  # fail on a bad mesh before the run directory exists
+
+    run_dir = Path(out_dir or config.get("output_dir", "runs/latest"))
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "config.json").write_text(json.dumps(config, indent=2) + "\n")
     best, traces = optimizer.train(task_for, cfg, restarts, seed=config["seed"])
 
     manifest = RunManifest(run_dir)
@@ -264,7 +272,7 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
 
     best_params = {
         "task": config["task"],
-        "phases": [float(x) for x in cloner.wrap_params(best.best_point)],
+        "phases": [float(x) for x in wrap_phases(best.best_point)],
         "cost": best.best_cost,
         "seed": best.seed,
         "n_iterations": best.n_iterations,
@@ -318,8 +326,11 @@ def cmd_validate(params_path: Path, count: int, out_path: Path | None) -> None:
         raise click.ClickException(f"no parameters file at {params_path}")
     payload = json.loads(params_path.read_text())
     params = np.array(payload["phases"], dtype=float)
+    # Sweep on the run's own mesh, from the config.json that train writes alongside.
+    config_path = params_path.parent / "config.json"
+    spec = _field("mesh", mesh_from_config, load_config(config_path)[0]) if config_path.exists() else None
 
-    rows = optimizer.validate_sweep(params, count=count)
+    rows = optimizer.validate_sweep(params, count=count, spec=spec)
     out_path = Path(out_path) if out_path else params_path.parent / "sweep.csv"
     _write_csv(
         out_path,
@@ -444,7 +455,7 @@ def _oracle_design_identity() -> tuple[bool, str]:
 
 def _oracle_semiclassical() -> tuple[bool, str]:
     estimate = cloner.semiclassical_monte_carlo(1_000_000, seed=3)
-    err = abs(estimate - cloner.semiclassical_baseline())
+    err = abs(estimate - cloner.SEMICLASSICAL_FIDELITY)
     return err < 0.002, f"Monte-Carlo {estimate:.4f} vs 0.750 (expected within 0.002)"
 
 

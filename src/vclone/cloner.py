@@ -9,21 +9,24 @@ Logical frame (0-based mode indices of the 4-mode core):
 
 A run prepares the two-photon input, applies the 12-phase variational
 mesh, and post-selects on a two-fold coincidence: exactly one photon in
-the clone-1 rail pair and one in the clone-2 rail pair.  Clone fidelities
-come either from reduced density matrices of the post-selected joint
-state, or from the projective measurement stage; both paths agree in the
-noiseless simulation.
+the clone-1 rail pair and one in the clone-2 rail pair.
+
+With one photon per injection rail each accepted amplitude is a 2x2
+permanent, so the closed-form kernel (``clone_outcomes``,
+``measurement_path_probabilities``) is the production path; ``run_cloner``
+keeps the general Fock path (``fock.evolve``) as its test oracle.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockAmplitudes, PostselectionRule, evolve, postselect
-from .mesh import MeshSpec, build_mesh, wrap_phases
+from .fock import ZERO_SUPPORT_TOL, FockAmplitudes, PostselectionRule, evolve, postselect
+from .mesh import MeshSpec, build_mesh
 
 #: Optimal symmetric equatorial-cloning fidelity, 1/2 + 1/sqrt(8).
 OPTIMAL_EQUATORIAL_FIDELITY = 0.5 + 1.0 / math.sqrt(8.0)
@@ -48,11 +51,12 @@ class QubitState:
     theta: float
     phi: float
 
+    def ket(self) -> tuple[complex, complex]:
+        """The two amplitudes as Python scalars, for the kernel's per-state loop."""
+        return complex(math.cos(self.theta)), cmath.rect(math.sin(self.theta), self.phi)
+
     def amplitudes(self) -> np.ndarray:
-        return np.array(
-            [math.cos(self.theta), math.sin(self.theta) * np.exp(1j * self.phi)],
-            dtype=complex,
-        )
+        return np.array(self.ket())
 
     def projector(self) -> np.ndarray:
         a = self.amplitudes()
@@ -85,6 +89,10 @@ class RailMap:
         modes |= set(self.input_rails) | set(self.ancilla_rails)
         if modes != set(range(4)):
             raise ValueError("rail pairs must jointly cover modes 0..3")
+        if set(self.clone1_rails) & set(self.clone2_rails):
+            raise ValueError("clone rail pairs must be disjoint")
+        if self.ancilla_rails[0] in self.input_rails:
+            raise ValueError("the ancilla photon must enter outside the input rails")
 
     def input_occupation(self) -> tuple[int, ...]:
         """Two-photon injection pattern: one photon on each |0> injection rail."""
@@ -150,8 +158,6 @@ class MeasPhases:
 
     theta: float
     phi: float
-    clone1_rails: tuple[int, int] = DEFAULT_RAILS.clone1_rails
-    clone2_rails: tuple[int, int] = DEFAULT_RAILS.clone2_rails
 
     def rotation(self) -> np.ndarray:
         # Unitary with first row <psi|, so psi maps to the |0> rail.
@@ -159,24 +165,15 @@ class MeasPhases:
         e = np.exp(1j * self.phi)
         return np.array([[c, s / e], [-s * e, c]], dtype=complex)
 
-    def stage_unitary(self, m: int = 4) -> np.ndarray:
-        w = self.rotation()
-        return _embed_pair(w, self.clone2_rails, m) @ _embed_pair(w, self.clone1_rails, m)
-
 
 def prep_phases(psi: QubitState, rails: RailMap = DEFAULT_RAILS) -> PrepPhases:
     """Preparation settings writing psi on the input rails (ancilla untouched)."""
     return PrepPhases(theta=psi.theta, phi=psi.phi, rails=rails.input_rails)
 
 
-def measurement_phases(psi: QubitState, rails: RailMap = DEFAULT_RAILS) -> MeasPhases:
+def measurement_phases(psi: QubitState) -> MeasPhases:
     """Measurement settings projecting each clone pair onto the psi basis."""
-    return MeasPhases(
-        theta=psi.theta,
-        phi=psi.phi,
-        clone1_rails=rails.clone1_rails,
-        clone2_rails=rails.clone2_rails,
-    )
+    return MeasPhases(theta=psi.theta, phi=psi.phi)
 
 
 def _coincidence_patterns(rails: RailMap) -> list[tuple[int, ...]]:
@@ -191,6 +188,60 @@ def _coincidence_patterns(rails: RailMap) -> list[tuple[int, ...]]:
     return patterns
 
 
+def four_mode_spec(spec: MeshSpec | None) -> MeshSpec:
+    """The given mesh (default: the six-cell core), checked to act on four modes."""
+    spec = spec or MeshSpec.four_mode_core()
+    if spec.mode_count != 4:
+        raise ValueError(f"the dual-rail cloner needs mode_count 4, got {spec.mode_count}")
+    return spec
+
+
+def _coincidence_amplitudes(u: list[list[complex]], ket: tuple[complex, complex], rails: RailMap) -> list:
+    """Unnormalized accepted amplitudes A[a][b] of the input ket through mode unitary u.
+
+    With v = U ket on the input rails and w = U[:, ancilla |0> rail], one
+    photon on clone-1 rail a and one on clone-2 rail b has the 2x2 permanent
+    v[c1_a] w[c2_b] + v[c2_b] w[c1_a] as amplitude.
+    """
+    i0, i1 = rails.input_rails
+    v = [row[i0] * ket[0] + row[i1] * ket[1] for row in u]
+    w = [row[rails.ancilla_rails[0]] for row in u]
+    return [[v[x] * w[y] + v[y] * w[x] for y in rails.clone2_rails] for x in rails.clone1_rails]
+
+
+def _outcome(p_post: float, weight1: float, weight2: float) -> CloningOutcome:
+    """Outcome from P_post and each clone's accepted probability of being found in psi."""
+    if p_post < ZERO_SUPPORT_TOL:
+        return CloningOutcome(f1=0.0, f2=0.0, p_post=0.0)
+    f1 = min(max(weight1 / p_post, 0.0), 1.0)
+    f2 = min(max(weight2 / p_post, 0.0), 1.0)
+    return CloningOutcome(f1=f1, f2=f2, p_post=min(p_post, 1.0))
+
+
+def clone_outcomes(
+    params: np.ndarray | list[float],
+    states: list[QubitState],
+    spec: MeshSpec | None = None,
+    rails: RailMap = DEFAULT_RAILS,
+) -> list[CloningOutcome]:
+    """Closed-form cloning outcome of each input state, from one mesh build.
+
+    P_post = sum |A|^2; F_i projects clone i's index of A onto <psi|.
+    Equals ``run_cloner`` to rounding, zero support (all zeros) included.
+    """
+    u = build_mesh(four_mode_spec(spec), params).tolist()
+    outcomes = []
+    for psi in states:
+        ket = psi.ket()
+        (a00, a01), (a10, a11) = _coincidence_amplitudes(u, ket, rails)
+        b0, b1 = ket[0].conjugate(), ket[1].conjugate()
+        p_post = abs(a00) ** 2 + abs(a01) ** 2 + abs(a10) ** 2 + abs(a11) ** 2
+        weight1 = abs(b0 * a00 + b1 * a10) ** 2 + abs(b0 * a01 + b1 * a11) ** 2
+        weight2 = abs(b0 * a00 + b1 * a01) ** 2 + abs(b0 * a10 + b1 * a11) ** 2
+        outcomes.append(_outcome(p_post, weight1, weight2))
+    return outcomes
+
+
 def run_cloner(
     params: np.ndarray | list[float],
     psi: QubitState,
@@ -199,6 +250,7 @@ def run_cloner(
 ) -> tuple[FockAmplitudes | None, CloningOutcome]:
     """Evolve the two-photon input and post-select on the coincidence rule.
 
+    The general Fock-space path, kept as the oracle of ``clone_outcomes``.
     Returns the normalized post-selected joint state (None on zero support)
     and the cloning outcome.  Zero-support configurations report
     P_post = 0 with both fidelities 0, keeping cost functions finite.
@@ -274,17 +326,13 @@ def measurement_path_probabilities(
     Returns the four unnormalized probabilities p[a, b] flattened in logical
     order (00, 01, 10, 11); a or b = 0 means the corresponding clone photon
     exits its success rail.  Their sum is P_post; the remainder to 1 is the
-    rejected-event probability.
+    rejected-event probability.  The measurement stage W acts on each clone
+    pair, so the probabilities are |(W x W) A|^2 of the kernel amplitudes.
     """
-    spec = spec or MeshSpec.four_mode_core()
-    m = spec.mode_count
-    u = (
-        measurement_phases(psi, rails).stage_unitary(m)
-        @ build_mesh(spec, params)
-        @ prep_phases(psi, rails).stage_unitary(m)
-    )
-    state = evolve(rails.input_occupation(), u)
-    return np.array([state.probability(p) for p in _coincidence_patterns(rails)])
+    u = build_mesh(four_mode_spec(spec), params).tolist()
+    amps = np.array(_coincidence_amplitudes(u, psi.ket(), rails))
+    w = measurement_phases(psi).rotation()
+    return (np.abs(w @ amps @ w.T) ** 2).ravel()
 
 
 def measurement_path_outcome(
@@ -298,13 +346,8 @@ def measurement_path_outcome(
     F_i is the conditional probability that the pair-i photon exits the
     success rail given a coincidence; equals the density-matrix path.
     """
-    probs = measurement_path_probabilities(params, psi, spec, rails)
-    p_post = float(probs.sum())
-    if p_post < 1e-12:
-        return CloningOutcome(f1=0.0, f2=0.0, p_post=0.0)
-    f1 = float((probs[0] + probs[1]) / p_post)
-    f2 = float((probs[0] + probs[2]) / p_post)
-    return CloningOutcome(f1=f1, f2=f2, p_post=min(p_post, 1.0))
+    probs = measurement_path_probabilities(params, psi, spec, rails).tolist()
+    return _outcome(sum(probs), probs[0] + probs[1], probs[0] + probs[2])
 
 
 def _symmetric_terms(f1: float, f2: float) -> float:
@@ -320,6 +363,7 @@ def cost_pc(
 
     Sum over training phases of (1-F1)^2 + (1-F2)^2 + (F1-F2)^2; the four
     X/Y eigenstates average second moments exactly as the full equator.
+    Evaluated on the ``run_cloner`` oracle; training uses the kernel.
     """
     total = 0.0
     for phi in TRAINING_PHASES:
@@ -339,7 +383,7 @@ def cost_sd(
     """Two-state cloning cost with success-probability regularization.
 
     Six fidelity terms for the two states plus
-    lam * [(1-P_A)^2 + (1-P_B)^2 + (P_A-P_B)^2].
+    lam * [(1-P_A)^2 + (1-P_B)^2 + (P_A-P_B)^2], on the ``run_cloner`` oracle.
     """
     if lam < 0:
         raise ValueError("regularization weight must be non-negative")
@@ -373,11 +417,6 @@ def design_identity_check(
     four = (1.0 - equatorial_fidelity_profile(rho, np.array(TRAINING_PHASES))) ** 2
     rhs = float(np.mean(four))
     return lhs, rhs
-
-
-def semiclassical_baseline() -> float:
-    """Average fidelity of the optimal equatorial measure-and-prepare strategy."""
-    return SEMICLASSICAL_FIDELITY
 
 
 def semiclassical_monte_carlo(trials: int, seed: int = 0) -> float:
@@ -414,7 +453,3 @@ DEFAULT_SD_PAIRS: tuple[tuple[QubitState, QubitState], ...] = (
     (QubitState(math.pi / 6, math.pi / 4), QubitState(math.pi / 3, 5 * math.pi / 4)),
 )
 
-
-def wrap_params(params: np.ndarray | list[float]) -> np.ndarray:
-    """Reduce a phase vector into the fundamental torus cell [0, 2*pi)^d."""
-    return wrap_phases(params)

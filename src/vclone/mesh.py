@@ -38,17 +38,22 @@ def is_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))) < tol
 
 
-def mzi_unitary(theta: float, phi: float) -> np.ndarray:
-    """2x2 unitary of a single Mach-Zehnder cell.
+def mzi_unitary(theta: float | np.ndarray, phi: float | np.ndarray) -> np.ndarray:
+    """2x2 unitary of a Mach-Zehnder cell, shape (..., 2, 2) for arrays of phases.
 
     theta = 0 gives the full cross state i*[[0, 1], [1, 0]]; theta = pi the
     bar state up to phase.  Continuous and 2*pi-periodic in both angles.
     """
-    h = 0.5 * (theta % TWO_PI)
+    h = 0.5 * (np.asarray(theta) % TWO_PI)
     g = 1j * np.exp(1j * h)
-    e = np.exp(1j * (phi % TWO_PI))
+    ge = g * np.exp(1j * (np.asarray(phi) % TWO_PI))
     s, c = np.sin(h), np.cos(h)
-    return g * np.array([[e * s, c], [e * c, -s]], dtype=complex)
+    u = np.empty(h.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = ge * s
+    u[..., 0, 1] = g * c
+    u[..., 1, 0] = ge * c
+    u[..., 1, 1] = -g * s
+    return u
 
 
 def balanced_coupler() -> np.ndarray:
@@ -163,43 +168,13 @@ def build_mesh(spec: MeshSpec, params: np.ndarray | list[float]) -> np.ndarray:
         raise ValueError(
             f"expected {spec.n_phases} phases for this mesh, got {len(params)}"
         )
-    u = np.eye(spec.mode_count, dtype=complex)
-    for k, pair in enumerate(spec.cell_pairs):
-        block = mzi_unitary(params[2 * k], params[2 * k + 1])
-        u = embed(block, pair, spec.mode_count) @ u
-    for pair in spec.fixed_couplers:
-        u = embed(balanced_coupler(), pair, spec.mode_count) @ u
-    return u
+    # A block on pair (i, i+1) recomputes only rows i and i+1, as complex lists.
+    blocks = mzi_unitary(params[0::2], params[1::2]).reshape(-1, 4).tolist()
+    blocks += [balanced_coupler().ravel().tolist()] * len(spec.fixed_couplers)
+    rows = np.eye(spec.mode_count, dtype=complex).tolist()
+    for (i, _), (a, b, c, d) in zip((*spec.cell_pairs, *spec.fixed_couplers), blocks):
+        top, bottom = rows[i], rows[i + 1]
+        rows[i] = [a * x + b * y for x, y in zip(top, bottom)]
+        rows[i + 1] = [c * x + d * y for x, y in zip(top, bottom)]
+    return np.array(rows)
 
-
-@dataclass(frozen=True)
-class StagedDevice:
-    """Full device unitary with the three stages kept separate.
-
-    total = meas @ variational @ prep (photons traverse prep first).
-    """
-
-    prep: np.ndarray
-    variational: np.ndarray
-    meas: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = self.prep.shape[0]
-        for name, stage in (("prep", self.prep), ("variational", self.variational), ("meas", self.meas)):
-            if stage.shape != (m, m):
-                raise ValueError(f"stage '{name}' has shape {stage.shape}, expected {(m, m)}")
-
-    @property
-    def mode_count(self) -> int:
-        return self.prep.shape[0]
-
-    @property
-    def unitary(self) -> np.ndarray:
-        return self.meas @ self.variational @ self.prep
-
-
-def full_device(prep: np.ndarray, variational: np.ndarray, meas: np.ndarray) -> StagedDevice:
-    """Compose the preparation, variational and measurement stages."""
-    return StagedDevice(prep=np.asarray(prep, dtype=complex),
-                        variational=np.asarray(variational, dtype=complex),
-                        meas=np.asarray(meas, dtype=complex))

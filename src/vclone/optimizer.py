@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import cloner
-from .cloner import QubitState, RailMap, DEFAULT_RAILS, run_cloner
+from .cloner import QubitState, RailMap, DEFAULT_RAILS, _symmetric_terms, clone_outcomes, run_cloner
 from .mesh import MeshSpec
 
 TRACE_SCHEMA_VERSION = 1
@@ -28,6 +28,7 @@ TRACE_SCHEMA_VERSION = 1
 CONVERGENCE_DIAMETER = 1e-8
 
 CostFn = Callable[[np.ndarray], "float | tuple[float, dict]"]
+Evaluator = Callable[[np.ndarray, QubitState], cloner.CloningOutcome]
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ class OptimizationTrace:
             }
             fh.write(json.dumps(header) + "\n")
             for rec in self.records:
-                fh.write(json.dumps(asdict(rec)) + "\n")
+                fh.write(json.dumps(vars(rec)) + "\n")
 
     @classmethod
     def from_jsonl(cls, path) -> "OptimizationTrace":
@@ -275,34 +276,41 @@ class Task:
     cost: CostFn
 
 
+def _cloning_task(name: str, states: dict[str, QubitState], lam: float | None,
+                  spec: MeshSpec | None, rails: RailMap, evaluator: Evaluator | None) -> Task:
+    """Symmetric cloning cost summed over the labelled states, plus lam times the
+    symmetric terms of the first two states' P_post when lam is set.  Without
+    an evaluator, one kernel call per evaluation covers every state.
+    """
+    spec = cloner.four_mode_spec(spec)
+    labels, kets = list(states), list(states.values())
+
+    def cost(params: np.ndarray) -> tuple[float, dict]:
+        outs = (clone_outcomes(params, kets, spec, rails) if evaluator is None
+                else [evaluator(params, psi) for psi in kets])
+        total = 0.0
+        for out in outs:
+            total += _symmetric_terms(out.f1, out.f2)
+        if lam is not None:
+            total += lam * _symmetric_terms(outs[0].p_post, outs[1].p_post)
+        extras = {k: {"f1": o.f1, "f2": o.f2, "p": o.p_post} for k, o in zip(labels, outs)}
+        return total, extras
+
+    return Task(name=name, dim=spec.n_phases, cost=cost)
+
+
 def pc_task(
     spec: MeshSpec | None = None,
     rails: RailMap = DEFAULT_RAILS,
-    evaluator: Callable[[np.ndarray, QubitState], cloner.CloningOutcome] | None = None,
+    evaluator: Evaluator | None = None,
 ) -> Task:
     """Equatorial-cloning training task over the four-phase training set.
 
-    ``evaluator`` defaults to the exact noiseless outcome; pass a sampling
+    ``evaluator`` defaults to the exact noiseless kernel; pass a sampling
     evaluator (see vclone.sampler) to train under shot noise.
     """
-    spec = spec or MeshSpec.four_mode_core()
-
-    def evaluate(params: np.ndarray, psi: QubitState) -> cloner.CloningOutcome:
-        if evaluator is not None:
-            return evaluator(params, psi)
-        _, out = run_cloner(params, psi, spec, rails)
-        return out
-
-    def cost(params: np.ndarray) -> tuple[float, dict]:
-        total = 0.0
-        extras = {}
-        for phi in cloner.TRAINING_PHASES:
-            out = evaluate(params, QubitState.equatorial(phi))
-            total += (1 - out.f1) ** 2 + (1 - out.f2) ** 2 + (out.f1 - out.f2) ** 2
-            extras[f"phi={phi:.4f}"] = {"f1": out.f1, "f2": out.f2, "p": out.p_post}
-        return total, extras
-
-    return Task(name="pc", dim=spec.n_phases, cost=cost)
+    states = {f"phi={phi:.4f}": QubitState.equatorial(phi) for phi in cloner.TRAINING_PHASES}
+    return _cloning_task("pc", states, None, spec, rails, evaluator)
 
 
 def sd_task(
@@ -311,36 +319,12 @@ def sd_task(
     lam: float = 1.0,
     spec: MeshSpec | None = None,
     rails: RailMap = DEFAULT_RAILS,
-    evaluator: Callable[[np.ndarray, QubitState], cloner.CloningOutcome] | None = None,
+    evaluator: Evaluator | None = None,
 ) -> Task:
     """Two-state cloning task with success-probability regularization."""
     if lam < 0:
         raise ValueError("regularization weight must be non-negative")
-    spec = spec or MeshSpec.four_mode_core()
-
-    def evaluate(params: np.ndarray, psi: QubitState) -> cloner.CloningOutcome:
-        if evaluator is not None:
-            return evaluator(params, psi)
-        _, out = run_cloner(params, psi, spec, rails)
-        return out
-
-    def cost(params: np.ndarray) -> tuple[float, dict]:
-        out_a = evaluate(params, psi_a)
-        out_b = evaluate(params, psi_b)
-        total = (1 - out_a.f1) ** 2 + (1 - out_a.f2) ** 2 + (out_a.f1 - out_a.f2) ** 2
-        total += (1 - out_b.f1) ** 2 + (1 - out_b.f2) ** 2 + (out_b.f1 - out_b.f2) ** 2
-        total += lam * (
-            (1 - out_a.p_post) ** 2
-            + (1 - out_b.p_post) ** 2
-            + (out_a.p_post - out_b.p_post) ** 2
-        )
-        extras = {
-            "A": {"f1": out_a.f1, "f2": out_a.f2, "p": out_a.p_post},
-            "B": {"f1": out_b.f1, "f2": out_b.f2, "p": out_b.p_post},
-        }
-        return total, extras
-
-    return Task(name="sd", dim=spec.n_phases, cost=cost)
+    return _cloning_task("sd", {"A": psi_a, "B": psi_b}, lam, spec, rails, evaluator)
 
 
 def train(
@@ -377,7 +361,7 @@ def validate_sweep(
     count: int = 50,
     spec: MeshSpec | None = None,
     rails: RailMap = DEFAULT_RAILS,
-    evaluator: Callable[[np.ndarray, QubitState], cloner.CloningOutcome] | None = None,
+    evaluator: Evaluator | None = None,
 ) -> list[tuple[float, float, float, float]]:
     """Evaluate the circuit on ``count`` evenly spaced equatorial states.
 

@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cloner import CloningOutcome, QubitState, RailMap, DEFAULT_RAILS, measurement_path_probabilities
+from .cloner import CloningOutcome, QubitState, RailMap, DEFAULT_RAILS, four_mode_spec
+from .cloner import measurement_path_outcome, measurement_path_probabilities
 from .mesh import MeshSpec
 
 
@@ -121,25 +122,18 @@ def sampled_evaluator(
 ) -> Callable[[np.ndarray, QubitState], CloningOutcome]:
     """Outcome evaluator with shot noise, pluggable into the training tasks.
 
-    Exact mode (shots=None) passes the noiseless measurement-path outcome
-    through.  The returned callable is stateful: it draws from a single
+    Exact mode (shots=None) returns the noiseless measurement-path outcome.
+    Otherwise the returned callable is stateful: it draws from a single
     generator seeded by the noise config, so a fixed seed gives a fully
     deterministic (but noisy) training run.
     """
-    spec = spec or MeshSpec.four_mode_core()
+    spec = four_mode_spec(spec)
+    if noise.shots is None:
+        return lambda params, psi: measurement_path_outcome(params, psi, spec, rails)
     rng = np.random.default_rng(noise.seed)
 
     def evaluate(params: np.ndarray, psi: QubitState) -> CloningOutcome:
         probs = measurement_path_probabilities(params, psi, spec, rails)
-        if noise.shots is None:
-            p_post = float(probs.sum())
-            if p_post < 1e-12:
-                return CloningOutcome(f1=0.0, f2=0.0, p_post=0.0)
-            return CloningOutcome(
-                f1=float((probs[0] + probs[1]) / p_post),
-                f2=float((probs[0] + probs[2]) / p_post),
-                p_post=min(p_post, 1.0),
-            )
         counts = sample_counts(probs, noise.shots, rng)
         return estimate_outcome(counts, noise.shots).outcome()
 

@@ -70,6 +70,29 @@ def test_missing_config_file(tmp_path, runner):
     assert result.exit_code != 0
 
 
+FIVE_MODE_MESH = {"mode_count": 5, "cells": [{"modes": [0, 1]}, {"modes": [3, 4]}]}
+
+
+@pytest.mark.parametrize(
+    "overrides, args, field",
+    [
+        ({}, ["--shots", "abc"], "--shots"),
+        ({}, ["--shots", "0"], "noise"),
+        ({"nm": {"initial_edge": -1}}, [], "nm"),
+        ({"mesh": FIVE_MODE_MESH}, [], "mesh"),
+        ({"mesh": {"mode_count": 4, "cells": [{"modes": 1}]}}, [], "mesh"),
+    ],
+)
+def test_train_bad_input_fails_before_run_dir(tmp_path, runner, overrides, args, field):
+    path = write_config(tmp_path / "cfg.json", **overrides)
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(path), "--out", str(out), *args])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"invalid {field}:" in result.output
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------- train
 
 def test_train_pc_smoke(tmp_path, runner):
@@ -167,6 +190,25 @@ def test_validate_count_four_matches_summary(tmp_path, runner):
     for s_row, t_row in zip(sweep, summary):
         assert float(s_row["f1"]) == pytest.approx(float(t_row["f1"]), abs=1e-12)
         assert float(s_row["f2"]) == pytest.approx(float(t_row["f2"]), abs=1e-12)
+
+
+def test_validate_uses_the_run_mesh(tmp_path, runner):
+    # A 4-cell mesh has 8 phases; validating with the default 12-phase core
+    # would reject them.
+    mesh = {"mode_count": 4, "cells": [{"modes": [1, 2]}, {"modes": [0, 1]},
+                                       {"modes": [2, 3]}, {"modes": [1, 2]}],
+            "fixed_couplers": [[0, 1]]}
+    path = write_config(tmp_path / "cfg.json", mesh=mesh, restarts=1)
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert len(json.loads((out / "best_params.json").read_text())["phases"]) == 8
+    result = runner.invoke(main, ["validate", "--params", str(out), "--count", "4"])
+    assert result.exit_code == 0, result.output
+    sweep = read_csv(out / "sweep.csv")
+    summary = read_csv(out / "summary.csv")
+    for s_row, t_row in zip(sweep, summary):
+        assert float(s_row["f1"]) == pytest.approx(float(t_row["f1"]), abs=1e-12)
 
 
 def test_validate_missing_params(tmp_path, runner):

@@ -7,6 +7,7 @@ from vclone import cloner
 from vclone.cloner import (
     DEFAULT_RAILS,
     DEFAULT_SD_PAIRS,
+    SEMICLASSICAL_FIDELITY,
     CloningOutcome,
     QubitState,
     RailMap,
@@ -21,7 +22,6 @@ from vclone.cloner import (
     prep_phases,
     reduced_clone,
     run_cloner,
-    semiclassical_baseline,
     semiclassical_monte_carlo,
 )
 from vclone.fock import FockAmplitudes, evolve, postselect
@@ -330,7 +330,7 @@ def test_design_identity_rejects_few_points():
 # --------------------------------------------------------------- semiclassical
 
 def test_semiclassical_constant():
-    assert semiclassical_baseline() == 0.750
+    assert SEMICLASSICAL_FIDELITY == 0.750
 
 
 def test_semiclassical_monte_carlo_converges():

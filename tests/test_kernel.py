@@ -1,0 +1,129 @@
+"""The closed-form two-photon kernel against the Fock-space oracle.
+
+``clone_outcomes`` and ``measurement_path_probabilities`` compute each
+accepted amplitude as a 2x2 permanent from one mesh build; ``run_cloner``
+and ``fock.evolve`` take the general path through every output pattern.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vclone import cloner
+from vclone.cloner import (
+    DEFAULT_RAILS,
+    CloningOutcome,
+    QubitState,
+    clone_outcomes,
+    measurement_path_outcome,
+    measurement_path_probabilities,
+    measurement_phases,
+    prep_phases,
+    run_cloner,
+)
+from vclone.fock import evolve
+from vclone.mesh import MeshSpec, build_mesh
+
+TOL = 1e-12
+
+#: A 4-cell custom mesh closed by two fixed 50:50 couplers (8 phases).
+CUSTOM_MESH = MeshSpec(
+    mode_count=4,
+    cell_pairs=((1, 2), (0, 1), (2, 3), (1, 2)),
+    fixed_couplers=((0, 1), (2, 3)),
+)
+
+_angle = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+_states = st.lists(st.builds(QubitState, _angle, _angle), min_size=1, max_size=5)
+_rails = st.sampled_from([DEFAULT_RAILS, DEFAULT_RAILS.swapped_clones()])
+_specs = st.sampled_from([MeshSpec.four_mode_core(), CUSTOM_MESH])
+
+
+def _params(spec):
+    return st.lists(_angle, min_size=spec.n_phases, max_size=spec.n_phases)
+
+
+_spec_and_params = _specs.flatmap(lambda spec: st.tuples(st.just(spec), _params(spec)))
+
+
+def _assert_outcomes_close(got: CloningOutcome, want: CloningOutcome) -> None:
+    assert abs(got.f1 - want.f1) < TOL
+    assert abs(got.f2 - want.f2) < TOL
+    assert abs(got.p_post - want.p_post) < TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spec_and_params, _states, _rails)
+def test_kernel_matches_run_cloner(spec_params, states, rails):
+    spec, params = spec_params
+    outs = clone_outcomes(params, states, spec, rails)
+    assert len(outs) == len(states)
+    for psi, out in zip(states, outs):
+        _, oracle = run_cloner(params, psi, spec, rails)
+        _assert_outcomes_close(out, oracle)
+        assert 0.0 <= out.f1 <= 1.0 and 0.0 <= out.f2 <= 1.0 and 0.0 <= out.p_post <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spec_and_params, _states.map(lambda s: s[0]), _rails)
+def test_measurement_probabilities_match_evolve(spec_params, psi, rails):
+    # Oracle: the full prep -> mesh -> measurement unitary through fock.evolve.
+    spec, params = spec_params
+    w = measurement_phases(psi).rotation()
+    meas = cloner._embed_pair(w, rails.clone2_rails, 4) @ cloner._embed_pair(w, rails.clone1_rails, 4)
+    u = meas @ build_mesh(spec, params) @ prep_phases(psi, rails).stage_unitary(4)
+    state = evolve(rails.input_occupation(), u)
+    oracle = [state.probability(p) for p in cloner._coincidence_patterns(rails)]
+    got = measurement_path_probabilities(params, psi, spec, rails)
+    assert np.max(np.abs(got - oracle)) < TOL
+    _assert_outcomes_close(measurement_path_outcome(params, psi, spec, rails),
+                           run_cloner(params, psi, spec, rails)[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spec_and_params, _states, _rails)
+def test_kernel_amplitudes_match_evolve(spec_params, states, rails):
+    spec, params = spec_params
+    mesh = build_mesh(spec, params)
+    for psi in states:
+        got = np.ravel(cloner._coincidence_amplitudes(mesh.tolist(), psi.ket(), rails))
+        state = evolve(rails.input_occupation(), mesh @ prep_phases(psi, rails).stage_unitary(4))
+        oracle = [state.amplitude(p) for p in cloner._coincidence_patterns(rails)]
+        assert np.max(np.abs(got - oracle)) < TOL
+
+
+def test_zero_support_gives_zero_outcome(monkeypatch):
+    # A mesh swapping modes 0 and 3 routes both photons of |0> into the
+    # clone-1 pair: no coincidence is possible.
+    swap = np.eye(4, dtype=complex)[[3, 1, 2, 0]]
+    monkeypatch.setattr(cloner, "build_mesh", lambda spec, params: swap)
+    zero = CloningOutcome(f1=0.0, f2=0.0, p_post=0.0)
+    psi = QubitState.zero()
+    assert clone_outcomes(np.zeros(12), [psi, psi]) == [zero, zero]
+    assert run_cloner(np.zeros(12), psi)[1] == zero
+    assert measurement_path_outcome(np.zeros(12), psi) == zero
+    assert np.all(measurement_path_probabilities(np.zeros(12), psi) == 0.0)
+
+
+def test_kernel_rejects_wrong_phase_count():
+    psi = QubitState.equatorial(0.0)
+    with pytest.raises(ValueError, match="expected 12 phases"):
+        clone_outcomes(np.zeros(8), [psi])
+    with pytest.raises(ValueError, match="expected 8 phases"):
+        measurement_path_probabilities(np.zeros(12), psi, CUSTOM_MESH)
+
+
+def test_kernel_rejects_non_four_mode_mesh():
+    spec = MeshSpec(mode_count=5, cell_pairs=((0, 1),))
+    with pytest.raises(ValueError, match="mode_count 4"):
+        clone_outcomes(np.zeros(2), [QubitState.zero()], spec)
+    with pytest.raises(ValueError, match="mode_count 4"):
+        measurement_path_probabilities(np.zeros(2), QubitState.zero(), spec)
+
+
+def test_railmap_rejects_maps_outside_the_kernel_domain():
+    with pytest.raises(ValueError, match="disjoint"):
+        cloner.RailMap(clone1_rails=(0, 1), clone2_rails=(1, 2), input_rails=(2, 3), ancilla_rails=(3, 0))
+    with pytest.raises(ValueError, match="ancilla"):
+        cloner.RailMap(input_rails=(1, 2), ancilla_rails=(2, 0))

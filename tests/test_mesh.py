@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from vclone.mesh import (
@@ -8,7 +10,6 @@ from vclone.mesh import (
     balanced_coupler,
     build_mesh,
     embed,
-    full_device,
     is_unitary,
     mzi_unitary,
     wrap_phases,
@@ -143,30 +144,36 @@ def test_spec_roundtrip_serialization():
     assert MeshSpec.from_dict(spec.to_dict()) == spec
 
 
-def test_full_device_identity_stages():
-    dev = full_device(np.eye(4), np.eye(4), np.eye(4))
-    assert np.allclose(dev.unitary, np.eye(4), atol=1e-12)
+_phase = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 
 
-def test_full_device_prep_only():
-    rng = np.random.default_rng(6)
-    prep = build_mesh(MeshSpec.four_mode_core(), rng.uniform(0, 2 * np.pi, 12))
-    dev = full_device(prep, np.eye(4), np.eye(4))
-    assert np.allclose(dev.unitary, prep, atol=1e-12)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_phase, min_size=12, max_size=12))
+def test_build_mesh_unitary_for_any_phases(params):
+    assert is_unitary(build_mesh(MeshSpec.four_mode_core(), params))
 
 
-def test_full_device_random_stages_unitary():
-    rng = np.random.default_rng(7)
-    spec = MeshSpec.four_mode_core()
-    stages = [build_mesh(spec, rng.uniform(0, 2 * np.pi, 12)) for _ in range(3)]
-    dev = full_device(*stages)
-    assert is_unitary(dev.unitary)
-    assert np.allclose(dev.unitary, stages[2] @ stages[1] @ stages[0], atol=1e-12)
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_phase, min_size=8, max_size=8))
+def test_build_mesh_matches_embedded_product_with_fixed_couplers(params):
+    # Oracle: the full m x m product of embedded blocks, cells then couplers.
+    spec = MeshSpec(mode_count=4, cell_pairs=((1, 2), (0, 1), (2, 3), (1, 2)),
+                    fixed_couplers=((0, 1), (2, 3)))
+    u = np.eye(4, dtype=complex)
+    for k, pair in enumerate(spec.cell_pairs):
+        u = embed(mzi_unitary(params[2 * k], params[2 * k + 1]), pair, 4) @ u
+    for pair in spec.fixed_couplers:
+        u = embed(balanced_coupler(), pair, 4) @ u
+    assert np.max(np.abs(build_mesh(spec, params) - u)) < 1e-12
 
 
-def test_full_device_dimension_mismatch():
-    with pytest.raises(ValueError):
-        full_device(np.eye(4), np.eye(3), np.eye(4))
+def test_mzi_unitary_vectorizes_over_phases():
+    rng = np.random.default_rng(8)
+    thetas, phis = rng.uniform(-7, 7, 5), rng.uniform(-7, 7, 5)
+    stacked = mzi_unitary(thetas, phis)
+    assert stacked.shape == (5, 2, 2)
+    for k in range(5):
+        assert np.allclose(stacked[k], mzi_unitary(thetas[k], phis[k]), rtol=0, atol=1e-15)
 
 
 def _haar_unitary(rng, n):

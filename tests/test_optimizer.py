@@ -1,8 +1,12 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from vclone import cloner, optimizer
 from vclone.cloner import CloningOutcome, QubitState
+from vclone.mesh import wrap_phases
 from vclone.optimizer import (
     NMConfig,
     OptimizationTrace,
@@ -95,24 +99,27 @@ def test_wrapping_recorded_points_preserves_cost():
     rng = np.random.default_rng(8)
     trace = nelder_mead(task.cost, rng.uniform(0, 2 * np.pi, 12), NMConfig(max_evaluations=60))
     for rec in trace.records[-5:]:
-        wrapped = cloner.wrap_params(rec.point)
+        wrapped = wrap_phases(rec.point)
         value, _ = task.cost(wrapped)
         assert value == pytest.approx(rec.cost, abs=1e-12)
 
 
 def test_evaluation_accounting(monkeypatch):
-    calls = {"n": 0}
-    real = optimizer.run_cloner
+    # One kernel call per evaluation covers all four training states.
+    calls = {"n": 0, "states": 0}
+    real = optimizer.clone_outcomes
 
-    def counting(*args, **kwargs):
+    def counting(params, states, *args, **kwargs):
         calls["n"] += 1
-        return real(*args, **kwargs)
+        calls["states"] += len(states)
+        return real(params, states, *args, **kwargs)
 
-    monkeypatch.setattr(optimizer, "run_cloner", counting)
+    monkeypatch.setattr(optimizer, "clone_outcomes", counting)
     task = pc_task()
     rng = np.random.default_rng(9)
     trace = nelder_mead(task.cost, rng.uniform(0, 2 * np.pi, 12), NMConfig(max_evaluations=40))
-    assert trace.n_evaluations == calls["n"] / len(cloner.TRAINING_PHASES)
+    assert trace.n_evaluations == calls["n"]
+    assert trace.n_evaluations == calls["states"] / len(cloner.TRAINING_PHASES)
 
 
 def test_trace_jsonl_roundtrip(tmp_path):
@@ -126,6 +133,22 @@ def test_trace_jsonl_roundtrip(tmp_path):
     assert np.allclose(loaded.best_point, trace.best_point)
     assert len(loaded.records) == len(trace.records)
     assert loaded.records[-1].extras == trace.records[-1].extras
+
+
+def test_trace_jsonl_bytes_match_asdict_serialization(tmp_path):
+    trace = OptimizationTrace(best_point=np.array([0.5, 1.5]), best_cost=0.25,
+                              n_iterations=1, n_evaluations=2, n_reboots=1, seed=3)
+    trace.records = [
+        optimizer.TraceRecord(1, 0, [0.5, 1.5], 0.25, 0.25,
+                              extras={"A": {"f1": 0.9, "f2": 0.8, "p": 0.3}}),
+        optimizer.TraceRecord(2, 1, [0.1, 2.0], 0.5, 0.25, reboot=True,
+                              extras={"A": {"f1": 0.7, "f2": 0.6, "p": 0.2}, "B": {"f1": 1.0}}),
+    ]
+    path = tmp_path / "trace.jsonl"
+    trace.to_jsonl(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 3
+    assert lines[1:] == [(json.dumps(dataclasses.asdict(r)) + "\n").encode() for r in trace.records]
 
 
 def test_trace_reboot_markers_recorded():

@@ -12,6 +12,7 @@ import datetime
 import hashlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import click
@@ -196,6 +197,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _echo_aborted(path: Path, trace: optimizer.OptimizationTrace) -> None:
+    """Print 'restart NNN aborted: <error>' for a restart stopped by a non-finite cost."""
+    if trace.error:
+        click.echo(f"{path.stem.replace('_', ' ')} aborted: {trace.error}")
+
+
 @click.group()
 @click.version_option(__version__)
 def main() -> None:
@@ -222,22 +229,11 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
     cfg = _field("nm", nm_from_config, config)
     restarts = config.get("restarts", 1)
 
-    def evaluator_for(restart: int):
-        if noise.shots is None:
-            return None
-        restart_noise = sampler.NoiseConfig(shots=noise.shots, seed=noise.seed + restart)
-        return sampler.sampled_evaluator(restart_noise, spec)
-
     if config["task"] == "pc":
         states = [QubitState.equatorial(phi) for phi in cloner.TRAINING_PHASES]
         state_ids = [f"equatorial phi={phi:.6f}" for phi in cloner.TRAINING_PHASES]
-
-        def task_for(restart: int) -> optimizer.Task:
-            return optimizer.pc_task(spec, evaluator=evaluator_for(restart))
-
-        def noiseless_cost(params):
-            return cloner.cost_pc(params, spec)
-
+        make_task = partial(optimizer.pc_task, spec)
+        noiseless_cost = partial(cloner.cost_pc, spec=spec)
     else:
         pair = config["pair"]
         psi_a = QubitState(pair["a"]["theta"], pair["a"]["phi"])
@@ -245,12 +241,12 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
         lam = config["lambda"]
         states = [psi_a, psi_b]
         state_ids = ["A", "B"]
+        make_task = partial(optimizer.sd_task, psi_a, psi_b, lam, spec)
+        noiseless_cost = partial(cloner.cost_sd, psi_a=psi_a, psi_b=psi_b, lam=lam, spec=spec)
 
-        def task_for(restart: int) -> optimizer.Task:
-            return optimizer.sd_task(psi_a, psi_b, lam, spec, evaluator=evaluator_for(restart))
-
-        def noiseless_cost(params):
-            return cloner.cost_sd(params, psi_a, psi_b, lam, spec)
+    def task_for(restart: int) -> optimizer.Task:
+        restart_noise = sampler.NoiseConfig(shots=noise.shots, seed=noise.seed + restart)
+        return make_task(evaluator=sampler.sampled_evaluator(restart_noise, spec))
 
     _field("mesh", task_for, 0)  # fail on a bad mesh before the run directory exists
 
@@ -269,6 +265,7 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
         path = traces_dir / f"restart_{r:03d}.jsonl"
         trace.to_jsonl(path)
         manifest.add_file(path)
+        _echo_aborted(path, trace)
 
     best_params = {
         "task": config["task"],
@@ -360,6 +357,8 @@ def cmd_report(run_dir: Path) -> None:
         raise click.ClickException(f"no traces found under {run_dir}")
 
     traces = [optimizer.OptimizationTrace.from_jsonl(p) for p in trace_files]
+    for path, trace in zip(trace_files, traces):
+        _echo_aborted(path, trace)
     best = min(traces, key=lambda t: t.best_cost)
 
     report_dir = run_dir / "report"
@@ -370,19 +369,18 @@ def cmd_report(run_dir: Path) -> None:
     best_cost = float("inf")
     best_f1 = best_f2 = float("nan")
     for rec in best.records:
+        states = list(rec.extras.values())
+        if states:
+            f1 = float(np.mean([s["f1"] for s in states]))
+            f2 = float(np.mean([s["f2"] for s in states]))
         if rec.cost <= best_cost:
             best_cost = rec.cost
-            if rec.extras:
-                states = list(rec.extras.values())
-                best_f1 = float(np.mean([s["f1"] for s in states]))
-                best_f2 = float(np.mean([s["f2"] for s in states]))
+            if states:
+                best_f1, best_f2 = f1, f2
         cost_rows.append(
             (rec.evaluation, rec.iteration, f"{rec.cost:.12f}", f"{best_cost:.12f}", int(rec.reboot))
         )
-        if rec.extras:
-            states = list(rec.extras.values())
-            f1 = float(np.mean([s["f1"] for s in states]))
-            f2 = float(np.mean([s["f2"] for s in states]))
+        if states:
             fid_rows.append(
                 (rec.evaluation, rec.iteration, f"{f1:.12f}", f"{f2:.12f}",
                  f"{best_f1:.12f}", f"{best_f2:.12f}", int(rec.reboot))

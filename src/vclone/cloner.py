@@ -317,22 +317,22 @@ def fidelity(rho: np.ndarray, psi: QubitState) -> float:
 
 def measurement_path_probabilities(
     params: np.ndarray | list[float],
-    psi: QubitState,
+    states: list[QubitState],
     spec: MeshSpec | None = None,
     rails: RailMap = DEFAULT_RAILS,
 ) -> np.ndarray:
     """Coincidence-pattern probabilities with the measurement stage applied.
 
-    Returns the four unnormalized probabilities p[a, b] flattened in logical
-    order (00, 01, 10, 11); a or b = 0 means the corresponding clone photon
-    exits its success rail.  Their sum is P_post; the remainder to 1 is the
-    rejected-event probability.  The measurement stage W acts on each clone
-    pair, so the probabilities are |(W x W) A|^2 of the kernel amplitudes.
+    One mesh build; row s of the (S, 4) result holds state s's unnormalized
+    p[a, b] in logical order (00, 01, 10, 11), where a or b = 0 means that
+    clone's photon exits its success rail.  A row sums to P_post; the rest to
+    1 is rejected.  With W the measurement stage on each clone pair, a row
+    is |(W x W) A|^2 of the kernel amplitudes.
     """
     u = build_mesh(four_mode_spec(spec), params).tolist()
-    amps = np.array(_coincidence_amplitudes(u, psi.ket(), rails))
-    w = measurement_phases(psi).rotation()
-    return (np.abs(w @ amps @ w.T) ** 2).ravel()
+    amps = np.array([_coincidence_amplitudes(u, psi.ket(), rails) for psi in states]).reshape(-1, 2, 2)
+    w = np.array([measurement_phases(psi).rotation() for psi in states]).reshape(-1, 2, 2)
+    return (np.abs(w @ amps @ w.transpose(0, 2, 1)) ** 2).reshape(-1, 4)
 
 
 def measurement_path_outcome(
@@ -346,7 +346,7 @@ def measurement_path_outcome(
     F_i is the conditional probability that the pair-i photon exits the
     success rail given a coincidence; equals the density-matrix path.
     """
-    probs = measurement_path_probabilities(params, psi, spec, rails).tolist()
+    probs = measurement_path_probabilities(params, [psi], spec, rails)[0].tolist()
     return _outcome(sum(probs), probs[0] + probs[1], probs[0] + probs[2])
 
 

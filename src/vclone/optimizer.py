@@ -14,12 +14,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import cloner
-from .cloner import QubitState, RailMap, DEFAULT_RAILS, _symmetric_terms, clone_outcomes, run_cloner
+from .cloner import QubitState, RailMap, DEFAULT_RAILS, _symmetric_terms, clone_outcomes
+from .cloner import run_cloner  # noqa: F401  the oracle, patched here by perfbench/spans.py
 from .mesh import MeshSpec
 
 TRACE_SCHEMA_VERSION = 1
@@ -28,7 +30,8 @@ TRACE_SCHEMA_VERSION = 1
 CONVERGENCE_DIAMETER = 1e-8
 
 CostFn = Callable[[np.ndarray], "float | tuple[float, dict]"]
-Evaluator = Callable[[np.ndarray, QubitState], cloner.CloningOutcome]
+#: Outcome of each state from one phase setting, shaped like ``clone_outcomes``.
+Evaluator = Callable[[np.ndarray, list[QubitState]], list[cloner.CloningOutcome]]
 
 
 @dataclass(frozen=True)
@@ -279,15 +282,15 @@ class Task:
 def _cloning_task(name: str, states: dict[str, QubitState], lam: float | None,
                   spec: MeshSpec | None, rails: RailMap, evaluator: Evaluator | None) -> Task:
     """Symmetric cloning cost summed over the labelled states, plus lam times the
-    symmetric terms of the first two states' P_post when lam is set.  Without
-    an evaluator, one kernel call per evaluation covers every state.
+    symmetric terms of the first two states' P_post when lam is set.  One
+    evaluator call (default: the exact kernel) covers every state.
     """
     spec = cloner.four_mode_spec(spec)
     labels, kets = list(states), list(states.values())
+    evaluate = evaluator or partial(clone_outcomes, spec=spec, rails=rails)
 
     def cost(params: np.ndarray) -> tuple[float, dict]:
-        outs = (clone_outcomes(params, kets, spec, rails) if evaluator is None
-                else [evaluator(params, psi) for psi in kets])
+        outs = evaluate(params, kets)
         total = 0.0
         for out in outs:
             total += _symmetric_terms(out.f1, out.f2)
@@ -365,16 +368,11 @@ def validate_sweep(
 ) -> list[tuple[float, float, float, float]]:
     """Evaluate the circuit on ``count`` evenly spaced equatorial states.
 
-    Returns rows (phi, F1, F2, P_post) for phi = 2*pi*k/count.
+    Returns rows (phi, F1, F2, P_post) for phi = 2*pi*k/count, from one
+    ``evaluator`` call (default: the exact kernel) covering every state.
     """
+    phis = [2.0 * math.pi * k / count for k in range(count)]
+    states = [QubitState.equatorial(phi) for phi in phis]
     params = np.asarray(params, dtype=float)
-    rows = []
-    for k in range(count):
-        phi = 2.0 * math.pi * k / count
-        psi = QubitState.equatorial(phi)
-        if evaluator is not None:
-            out = evaluator(params, psi)
-        else:
-            _, out = run_cloner(params, psi, spec, rails)
-        rows.append((phi, out.f1, out.f2, out.p_post))
-    return rows
+    outs = evaluator(params, states) if evaluator else clone_outcomes(params, states, spec, rails)
+    return [(phi, out.f1, out.f2, out.p_post) for phi, out in zip(phis, outs)]

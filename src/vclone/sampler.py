@@ -1,22 +1,23 @@
 """Finite-statistics emulation of the coincidence measurements.
 
-Each cost evaluation on hardware sees shot noise from a finite number of
-two-fold coincidence events.  Here the measurement-stage output
-distribution is sampled with a fixed number of trials N (multinomial over
-the four coincidence patterns plus a rejected-event bin), and fidelities
-are estimated from the conditional counts exactly as on the device.
+Each cost evaluation on hardware sets the phases once, then measures every
+training state with a finite number of two-fold coincidences.  Here one mesh
+build gives every state's measurement-stage distribution, one multinomial
+draw takes N trials per state (four coincidence patterns plus a rejected
+bin), and fidelities are estimated from conditional counts as on the device.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .cloner import CloningOutcome, QubitState, RailMap, DEFAULT_RAILS, four_mode_spec
-from .cloner import measurement_path_outcome, measurement_path_probabilities
+from .cloner import CloningOutcome, QubitState, RailMap, DEFAULT_RAILS, clone_outcomes, four_mode_spec
+from .cloner import measurement_path_probabilities
 from .mesh import MeshSpec
 
 
@@ -37,25 +38,25 @@ def sample_counts(
     shots: int,
     rng: np.random.Generator | int,
 ) -> np.ndarray:
-    """Multinomial counts over accepted patterns for N total trials.
+    """Multinomial counts over accepted patterns for N total trials per row.
 
-    ``probabilities`` are the accepted-pattern probabilities; any remainder
-    to 1 is the rejected bin, whose count is not returned.  Accepted plus
-    rejected counts always total N.
+    ``probabilities`` is (..., k), accepted-pattern probabilities per row; a
+    row's remainder to 1 is its rejected bin, whose count is not returned.
+    One generator call draws every row, as drawing the rows in turn would.
     """
     p = np.asarray(probabilities, dtype=float)
-    if np.any(p < -1e-12):
+    if (p < -1e-12).any():
         raise ValueError("probabilities must be non-negative")
-    p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if total > 1.0 + 1e-9:
-        raise ValueError(f"probabilities sum to {total} > 1")
+    p = np.maximum(p, 0.0)
+    total = p.sum(axis=-1, keepdims=True)
+    if (total > 1.0 + 1e-9).any():
+        raise ValueError(f"probabilities sum to {total.max()} > 1")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    full = np.append(p, max(1.0 - total, 0.0))
-    full /= full.sum()
+    full = np.concatenate([p, np.maximum(1.0 - total, 0.0)], axis=-1)
+    full /= full.sum(axis=-1, keepdims=True)
     counts = rng.multinomial(shots, full)
-    return counts[:-1]
+    return counts[..., :-1]
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,8 @@ def estimate_outcome(counts: np.ndarray | list[int], shots: int) -> EstimatedOut
     counts = np.asarray(counts, dtype=int)
     if counts.shape != (4,):
         raise ValueError("expected the four coincidence-pattern counts")
-    coinc = int(counts.sum())
+    c00, c01, c10, c11 = counts.tolist()
+    coinc = c00 + c01 + c10 + c11
     p_hat = coinc / shots
     if coinc == 0:
         return EstimatedOutcome(
@@ -100,12 +102,12 @@ def estimate_outcome(counts: np.ndarray | list[int], shots: int) -> EstimatedOut
             f1_err=0.0, f2_err=0.0, p_err=_binomial_err(p_hat, shots),
             n_coincidences=0, shots=shots, valid=False,
         )
-    f1_hat = (counts[0] + counts[1]) / coinc
-    f2_hat = (counts[0] + counts[2]) / coinc
+    f1_hat = (c00 + c01) / coinc
+    f2_hat = (c00 + c10) / coinc
     return EstimatedOutcome(
-        f1=float(f1_hat),
-        f2=float(f2_hat),
-        p_post=float(p_hat),
+        f1=f1_hat,
+        f2=f2_hat,
+        p_post=p_hat,
         f1_err=_binomial_err(f1_hat, coinc),
         f2_err=_binomial_err(f2_hat, coinc),
         p_err=_binomial_err(p_hat, shots),
@@ -119,22 +121,22 @@ def sampled_evaluator(
     noise: NoiseConfig,
     spec: MeshSpec | None = None,
     rails: RailMap = DEFAULT_RAILS,
-) -> Callable[[np.ndarray, QubitState], CloningOutcome]:
-    """Outcome evaluator with shot noise, pluggable into the training tasks.
+) -> Callable[[np.ndarray, list[QubitState]], list[CloningOutcome]]:
+    """Evaluator (params, states) -> one outcome per state, for the training tasks.
 
-    Exact mode (shots=None) returns the noiseless measurement-path outcome.
-    Otherwise the returned callable is stateful: it draws from a single
-    generator seeded by the noise config, so a fixed seed gives a fully
-    deterministic (but noisy) training run.
+    Exact mode (shots=None) returns the kernel, ``clone_outcomes``.  Otherwise
+    each call builds the mesh once, draws every state's counts in one
+    multinomial call and estimates each state from its own counts, from one
+    generator seeded by the noise config: a fixed seed gives a deterministic run.
     """
     spec = four_mode_spec(spec)
     if noise.shots is None:
-        return lambda params, psi: measurement_path_outcome(params, psi, spec, rails)
+        return partial(clone_outcomes, spec=spec, rails=rails)
     rng = np.random.default_rng(noise.seed)
 
-    def evaluate(params: np.ndarray, psi: QubitState) -> CloningOutcome:
-        probs = measurement_path_probabilities(params, psi, spec, rails)
+    def evaluate(params: np.ndarray, states: list[QubitState]) -> list[CloningOutcome]:
+        probs = measurement_path_probabilities(params, states, spec, rails)
         counts = sample_counts(probs, noise.shots, rng)
-        return estimate_outcome(counts, noise.shots).outcome()
+        return [estimate_outcome(row, noise.shots).outcome() for row in counts.tolist()]
 
     return evaluate

@@ -241,7 +241,7 @@ def test_criterion_10_shot_noise(record):
     f1s, f2s = [], []
     for seed in range(reps):
         evaluate = sampler.sampled_evaluator(sampler.NoiseConfig(shots=10_000, seed=seed))
-        out = evaluate(params, psi)
+        out = evaluate(params, [psi])[0]
         f1s.append(out.f1)
         f2s.append(out.f2)
     unbiased = True

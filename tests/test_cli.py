@@ -266,6 +266,34 @@ def test_report_empty_dir_errors(tmp_path, runner):
     assert result.exit_code != 0
 
 
+def test_report_prints_aborted_restart(tmp_path, runner):
+    from vclone.optimizer import OptimizationTrace, TraceRecord
+
+    traces = tmp_path / "run" / "traces"
+    traces.mkdir(parents=True)
+    record = TraceRecord(evaluation=1, iteration=0, point=[0.0] * 12, cost=1.5, best_cost=1.5)
+    error = "non-finite cost nan at [0. 0.]"
+    for r, err in enumerate((None, error)):
+        trace = OptimizationTrace(records=[record], best_point=np.zeros(12), best_cost=1.5,
+                                  n_evaluations=1 + (err is not None), error=err)
+        trace.to_jsonl(traces / f"restart_{r:03d}.jsonl")
+    result = runner.invoke(main, ["report", "--run", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    assert f"restart 001 aborted: {error}" in result.output
+    assert "restart 000" not in result.output
+
+
+def test_train_prints_aborted_restart(tmp_path, runner, monkeypatch):
+    from vclone import sampler
+
+    nan = cloner.CloningOutcome(f1=float("nan"), f2=float("nan"), p_post=float("nan"))
+    monkeypatch.setattr(sampler, "clone_outcomes", lambda params, states, **kw: [nan] * len(states))
+    path = write_config(tmp_path / "cfg.json", restarts=1)
+    result = runner.invoke(main, ["train", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    assert "restart 000 aborted: non-finite cost nan" in result.output
+
+
 # -------------------------------------------------------------------- oracle
 
 def test_oracle_all_passes(runner):

@@ -46,6 +46,26 @@ def _params(spec):
 
 _spec_and_params = _specs.flatmap(lambda spec: st.tuples(st.just(spec), _params(spec)))
 
+_pair = st.sampled_from([(0, 1), (1, 2), (2, 3)])
+_random_specs = st.builds(
+    MeshSpec,
+    st.just(4),
+    st.lists(_pair, min_size=1, max_size=8).map(tuple),
+    st.lists(_pair, max_size=2).map(tuple),
+)
+_random_spec_and_params = _random_specs.flatmap(lambda spec: st.tuples(st.just(spec), _params(spec)))
+
+
+@st.composite
+def _random_rails(draw):
+    """Any RailMap in the kernel's domain: disjoint clone pairs, ancilla |0> off the input rails."""
+    c = draw(st.permutations(range(4)))
+    i = draw(st.permutations(range(4)))
+    a0 = draw(st.sampled_from(i[2:]))
+    a1 = draw(st.sampled_from([m for m in range(4) if m != a0]))
+    return cloner.RailMap(clone1_rails=(c[0], c[1]), clone2_rails=(c[2], c[3]),
+                          input_rails=(i[0], i[1]), ancilla_rails=(a0, a1))
+
 
 def _assert_outcomes_close(got: CloningOutcome, want: CloningOutcome) -> None:
     assert abs(got.f1 - want.f1) < TOL
@@ -65,20 +85,39 @@ def test_kernel_matches_run_cloner(spec_params, states, rails):
         assert 0.0 <= out.f1 <= 1.0 and 0.0 <= out.f2 <= 1.0 and 0.0 <= out.p_post <= 1.0
 
 
-@settings(max_examples=200, deadline=None)
-@given(_spec_and_params, _states.map(lambda s: s[0]), _rails)
-def test_measurement_probabilities_match_evolve(spec_params, psi, rails):
-    # Oracle: the full prep -> mesh -> measurement unitary through fock.evolve.
-    spec, params = spec_params
+def _measured_oracle(params, psi, spec, rails):
+    """Coincidence probabilities of the full prep -> mesh -> measurement unitary via fock.evolve."""
     w = measurement_phases(psi).rotation()
     meas = cloner._embed_pair(w, rails.clone2_rails, 4) @ cloner._embed_pair(w, rails.clone1_rails, 4)
     u = meas @ build_mesh(spec, params) @ prep_phases(psi, rails).stage_unitary(4)
     state = evolve(rails.input_occupation(), u)
-    oracle = [state.probability(p) for p in cloner._coincidence_patterns(rails)]
-    got = measurement_path_probabilities(params, psi, spec, rails)
+    return np.array([state.probability(p) for p in cloner._coincidence_patterns(rails)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spec_and_params, _states.map(lambda s: s[0]), _rails)
+def test_measurement_probabilities_match_evolve(spec_params, psi, rails):
+    spec, params = spec_params
+    oracle = _measured_oracle(params, psi, spec, rails)
+    got = measurement_path_probabilities(params, [psi], spec, rails)[0]
     assert np.max(np.abs(got - oracle)) < TOL
     _assert_outcomes_close(measurement_path_outcome(params, psi, spec, rails),
                            run_cloner(params, psi, spec, rails)[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_spec_and_params, _states, _random_rails())
+def test_batched_measurement_probabilities_match_evolve(spec_params, states, rails):
+    # One mesh build for the whole list; every row must equal its state's oracle.
+    spec, params = spec_params
+    got = measurement_path_probabilities(params, states, spec, rails)
+    assert got.shape == (len(states), 4)
+    for row, psi in zip(got, states):
+        assert np.max(np.abs(row - _measured_oracle(params, psi, spec, rails))) < TOL
+
+
+def test_measurement_probabilities_of_no_states():
+    assert measurement_path_probabilities(np.zeros(12), []).shape == (0, 4)
 
 
 @settings(max_examples=100, deadline=None)
@@ -103,7 +142,7 @@ def test_zero_support_gives_zero_outcome(monkeypatch):
     assert clone_outcomes(np.zeros(12), [psi, psi]) == [zero, zero]
     assert run_cloner(np.zeros(12), psi)[1] == zero
     assert measurement_path_outcome(np.zeros(12), psi) == zero
-    assert np.all(measurement_path_probabilities(np.zeros(12), psi) == 0.0)
+    assert np.all(measurement_path_probabilities(np.zeros(12), [psi])[0] == 0.0)
 
 
 def test_kernel_rejects_wrong_phase_count():
@@ -111,7 +150,7 @@ def test_kernel_rejects_wrong_phase_count():
     with pytest.raises(ValueError, match="expected 12 phases"):
         clone_outcomes(np.zeros(8), [psi])
     with pytest.raises(ValueError, match="expected 8 phases"):
-        measurement_path_probabilities(np.zeros(12), psi, CUSTOM_MESH)
+        measurement_path_probabilities(np.zeros(12), [psi], CUSTOM_MESH)[0]
 
 
 def test_kernel_rejects_non_four_mode_mesh():
@@ -119,7 +158,7 @@ def test_kernel_rejects_non_four_mode_mesh():
     with pytest.raises(ValueError, match="mode_count 4"):
         clone_outcomes(np.zeros(2), [QubitState.zero()], spec)
     with pytest.raises(ValueError, match="mode_count 4"):
-        measurement_path_probabilities(np.zeros(2), QubitState.zero(), spec)
+        measurement_path_probabilities(np.zeros(2), [QubitState.zero()], spec)[0]
 
 
 def test_railmap_rejects_maps_outside_the_kernel_domain():

@@ -290,6 +290,6 @@ def test_validate_sweep_count_four_matches_training_set():
 
 
 def test_validate_sweep_custom_evaluator():
-    stub = lambda params, psi: CloningOutcome(f1=0.9, f2=0.8, p_post=0.5)
+    stub = lambda params, states: [CloningOutcome(f1=0.9, f2=0.8, p_post=0.5) for _ in states]
     rows = validate_sweep(np.zeros(12), count=5, evaluator=stub)
     assert all(r[1:] == (0.9, 0.8, 0.5) for r in rows)

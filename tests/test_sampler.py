@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from vclone import cloner
-from vclone.cloner import QubitState, measurement_path_outcome
+from vclone.cloner import QubitState, measurement_path_outcome, measurement_path_probabilities
+from vclone.optimizer import NMConfig, nelder_mead, pc_task
 from vclone.sampler import (
     NoiseConfig,
     estimate_outcome,
@@ -56,6 +57,48 @@ def test_invalid_probability_vector_rejected():
         sample_counts([-0.1, 0.5], 100, rng=0)
 
 
+# ------------------------------------------------------------------- batches
+
+def test_batch_draw_equals_sequential_draws():
+    probs = np.random.default_rng(7).dirichlet(np.ones(6), size=4)[:, :5]  # (4, 5), rows sum < 1
+    batched_rng, sequential_rng = np.random.default_rng(8), np.random.default_rng(8)
+    batched = sample_counts(probs, 5000, batched_rng)
+    sequential = np.array([sample_counts(row, 5000, sequential_rng) for row in probs])
+    assert batched.shape == (4, 5)
+    assert np.array_equal(batched, sequential)
+    assert batched_rng.random() == sequential_rng.random()
+
+
+@pytest.mark.parametrize("bad_row", [[0.7, 0.5, 0.0], [0.5, -0.1, 0.2]])
+def test_invalid_row_in_batch_rejected(bad_row):
+    with pytest.raises(ValueError):
+        sample_counts([[0.2, 0.3, 0.1], bad_row], 100, rng=0)
+
+
+def test_batched_noisy_task_matches_state_by_state_sampling():
+    # Reference: the same noisy pc cost with one mesh build, one draw and
+    # one estimate per state, on an equally seeded generator.
+    noise = NoiseConfig(shots=5000, seed=13)
+    rng = np.random.default_rng(noise.seed)
+    states = {f"phi={phi:.4f}": QubitState.equatorial(phi) for phi in cloner.TRAINING_PHASES}
+
+    def reference(params):
+        total, extras = 0.0, {}
+        for label, psi in states.items():
+            probs = measurement_path_probabilities(params, [psi])[0]
+            out = estimate_outcome(sample_counts(probs, noise.shots, rng), noise.shots)
+            total += cloner._symmetric_terms(out.f1, out.f2)
+            extras[label] = {"f1": out.f1, "f2": out.f2, "p": out.p_post}
+        return total, extras
+
+    init = np.random.default_rng(14).uniform(0, 2 * np.pi, 12)
+    cfg = NMConfig(max_evaluations=200)
+    got = nelder_mead(pc_task(evaluator=sampled_evaluator(noise)).cost, init, cfg)
+    want = nelder_mead(reference, init, cfg)
+    assert got.n_evaluations == want.n_evaluations == 200
+    assert [(r.cost, r.extras) for r in got.records] == [(r.cost, r.extras) for r in want.records]
+
+
 # ----------------------------------------------------------------- estimator
 
 def test_all_counts_in_success_rails():
@@ -85,7 +128,7 @@ def test_exact_mode_passthrough():
     params = rng.uniform(0, 2 * np.pi, 12)
     psi = QubitState.equatorial(1.0)
     evaluate = sampled_evaluator(NoiseConfig(shots=None))
-    out = evaluate(params, psi)
+    out = evaluate(params, [psi])[0]
     _, exact = cloner.run_cloner(params, psi)
     assert out.f1 == pytest.approx(exact.f1, abs=1e-10)
     assert out.f2 == pytest.approx(exact.f2, abs=1e-10)
@@ -103,7 +146,7 @@ def test_estimator_unbiased():
     f1s, f2s = [], []
     for seed in range(reps):
         evaluate = sampled_evaluator(NoiseConfig(shots=10_000, seed=seed))
-        out = evaluate(params, psi)
+        out = evaluate(params, [psi])[0]
         f1s.append(out.f1)
         f2s.append(out.f2)
     for values, truth in ((f1s, exact.f1), (f2s, exact.f2)):
@@ -122,7 +165,7 @@ def test_large_n_consistency():
     trials = 50
     for seed in range(trials):
         evaluate = sampled_evaluator(NoiseConfig(shots=1_000_000, seed=seed))
-        out = evaluate(params, psi)
+        out = evaluate(params, [psi])[0]
         if abs(out.f1 - exact.f1) >= 0.005 or abs(out.f2 - exact.f2) >= 0.005:
             misses += 1
     assert misses == 0
@@ -135,7 +178,7 @@ def test_sampled_evaluator_deterministic_stream():
 
     def collect():
         evaluate = sampled_evaluator(NoiseConfig(shots=2000, seed=11))
-        return [(evaluate(params, psi).f1, evaluate(params, psi).f2) for _ in range(3)]
+        return [(evaluate(params, [psi])[0].f1, evaluate(params, [psi])[0].f2) for _ in range(3)]
 
     assert collect() == collect()
 

@@ -248,12 +248,14 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
         restart_noise = sampler.NoiseConfig(shots=noise.shots, seed=noise.seed + restart)
         return make_task(evaluator=sampler.sampled_evaluator(restart_noise, spec))
 
-    _field("mesh", task_for, 0)  # fail on a bad mesh before the run directory exists
+    # Exact restarts share a Task: one kernel call per lockstep step. Noisy ones keep their streams.
+    shared = _field("mesh", task_for, 0)  # fail on a bad mesh before the run directory exists
+    task = shared if noise.shots is None else task_for
 
     run_dir = Path(out_dir or config.get("output_dir", "runs/latest"))
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.json").write_text(json.dumps(config, indent=2) + "\n")
-    best, traces = optimizer.train(task_for, cfg, restarts, seed=config["seed"])
+    best, traces = optimizer.train(task, cfg, restarts, seed=config["seed"])
 
     manifest = RunManifest(run_dir)
     manifest.set_config(json.dumps(config, indent=2).encode() + b"\n", config["seed"])
@@ -311,7 +313,7 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
 @main.command("validate")
 @click.option("--params", "params_path", required=True, type=click.Path(path_type=Path),
               help="best_params.json file or a run directory containing one.")
-@click.option("--count", type=int, default=50, show_default=True)
+@click.option("--count", type=click.IntRange(min=1), default=50, show_default=True)
 @click.option("--out", "out_path", type=click.Path(path_type=Path), default=None,
               help="Output CSV (default: sweep.csv next to the params file).")
 def cmd_validate(params_path: Path, count: int, out_path: Path | None) -> None:

@@ -52,7 +52,7 @@ class QubitState:
     phi: float
 
     def ket(self) -> tuple[complex, complex]:
-        """The two amplitudes as Python scalars, for the kernel's per-state loop."""
+        """The two amplitudes as Python scalars."""
         return complex(math.cos(self.theta)), cmath.rect(math.sin(self.theta), self.phi)
 
     def amplitudes(self) -> np.ndarray:
@@ -196,26 +196,43 @@ def four_mode_spec(spec: MeshSpec | None) -> MeshSpec:
     return spec
 
 
-def _coincidence_amplitudes(u: list[list[complex]], ket: tuple[complex, complex], rails: RailMap) -> list:
-    """Unnormalized accepted amplitudes A[a][b] of the input ket through mode unitary u.
+class StateStack(tuple):
+    """Input states carrying their kets (S, 2) and measurement rotations W (S, 2, 2), built once."""
+
+    def __new__(cls, states):
+        if isinstance(states, cls):
+            return states
+        stack = super().__new__(cls, states)
+        stack.kets = np.array([psi.ket() for psi in stack], dtype=complex).reshape(-1, 2)
+        stack.rotations = np.array([measurement_phases(p).rotation() for p in stack]).reshape(-1, 2, 2)
+        return stack
+
+
+def _coincidence_amplitudes(u: np.ndarray, kets: np.ndarray, rails: RailMap) -> np.ndarray:
+    """Unnormalized accepted amplitudes A[..., s, a, b] of kets (S, 2) through unitaries (..., 4, 4).
 
     With v = U ket on the input rails and w = U[:, ancilla |0> rail], one
     photon on clone-1 rail a and one on clone-2 rail b has the 2x2 permanent
     v[c1_a] w[c2_b] + v[c2_b] w[c1_a] as amplitude.
     """
-    i0, i1 = rails.input_rails
-    v = [row[i0] * ket[0] + row[i1] * ket[1] for row in u]
-    w = [row[rails.ancilla_rails[0]] for row in u]
-    return [[v[x] * w[y] + v[y] * w[x] for y in rails.clone2_rails] for x in rails.clone1_rails]
+    # Rows c1_0, c1_1, c2_0, c2_1 of U, with an axis for the states.
+    u = np.asarray(u)[..., None, [*rails.clone1_rails, *rails.clone2_rails], :]
+    (i0, i1), kets = rails.input_rails, np.asarray(kets)
+    v = u[..., i0] * kets[..., 0, None] + u[..., i1] * kets[..., 1, None]
+    w = u[..., rails.ancilla_rails[0]]
+    return v[..., :2, None] * w[..., None, 2:] + w[..., :2, None] * v[..., None, 2:]
 
 
-def _outcome(p_post: float, weight1: float, weight2: float) -> CloningOutcome:
-    """Outcome from P_post and each clone's accepted probability of being found in psi."""
-    if p_post < ZERO_SUPPORT_TOL:
-        return CloningOutcome(f1=0.0, f2=0.0, p_post=0.0)
-    f1 = min(max(weight1 / p_post, 0.0), 1.0)
-    f2 = min(max(weight2 / p_post, 0.0), 1.0)
-    return CloningOutcome(f1=f1, f2=f2, p_post=min(p_post, 1.0))
+def _outcome(p_post, weight1, weight2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F1, F2, P_post) arrays from P_post and each clone's accepted probability of being in psi.
+
+    Zero support (P_post < ZERO_SUPPORT_TOL) gives all zeros; F is clamped to [0, 1], P_post to 1.
+    """
+    support = p_post >= ZERO_SUPPORT_TOL
+    p = np.where(support, p_post, 1.0)
+    f1 = np.where(support, np.minimum(np.maximum(weight1 / p, 0.0), 1.0), 0.0)
+    f2 = np.where(support, np.minimum(np.maximum(weight2 / p, 0.0), 1.0), 0.0)
+    return f1, f2, np.where(support, np.minimum(p_post, 1.0), 0.0)
 
 
 def clone_outcomes(
@@ -224,22 +241,20 @@ def clone_outcomes(
     spec: MeshSpec | None = None,
     rails: RailMap = DEFAULT_RAILS,
 ) -> list[CloningOutcome]:
-    """Closed-form cloning outcome of each input state, from one mesh build.
+    """Closed-form outcome of each state at phase vectors (..., n_phases), from one mesh build.
 
-    P_post = sum |A|^2; F_i projects clone i's index of A onto <psi|.
-    Equals ``run_cloner`` to rounding, zero support (all zeros) included.
+    Outcomes cover the (..., S) grid of (phase vector, state) pairs, row-major.  P_post =
+    sum |A|^2; F_i projects clone i's index of A onto <psi|.  Equals ``run_cloner`` to
+    rounding, zero support (all zeros) included.
     """
-    u = build_mesh(four_mode_spec(spec), params).tolist()
-    outcomes = []
-    for psi in states:
-        ket = psi.ket()
-        (a00, a01), (a10, a11) = _coincidence_amplitudes(u, ket, rails)
-        b0, b1 = ket[0].conjugate(), ket[1].conjugate()
-        p_post = abs(a00) ** 2 + abs(a01) ** 2 + abs(a10) ** 2 + abs(a11) ** 2
-        weight1 = abs(b0 * a00 + b1 * a10) ** 2 + abs(b0 * a01 + b1 * a11) ** 2
-        weight2 = abs(b0 * a00 + b1 * a01) ** 2 + abs(b0 * a10 + b1 * a11) ** 2
-        outcomes.append(_outcome(p_post, weight1, weight2))
-    return outcomes
+    kets = StateStack(states).kets
+    amps = _coincidence_amplitudes(build_mesh(four_mode_spec(spec), params), kets, rails)
+    bra = kets.conj()[:, :, None]
+    p_post = (np.abs(amps) ** 2).sum(axis=(-2, -1))
+    weight1 = (np.abs(bra[:, 0] * amps[..., 0, :] + bra[:, 1] * amps[..., 1, :]) ** 2).sum(axis=-1)
+    weight2 = (np.abs(bra[:, 0] * amps[..., :, 0] + bra[:, 1] * amps[..., :, 1]) ** 2).sum(axis=-1)
+    f1, f2, p = (x.ravel().tolist() for x in _outcome(p_post, weight1, weight2))
+    return [CloningOutcome(*out) for out in zip(f1, f2, p)]
 
 
 def run_cloner(
@@ -323,16 +338,16 @@ def measurement_path_probabilities(
 ) -> np.ndarray:
     """Coincidence-pattern probabilities with the measurement stage applied.
 
-    One mesh build; row s of the (S, 4) result holds state s's unnormalized
-    p[a, b] in logical order (00, 01, 10, 11), where a or b = 0 means that
-    clone's photon exits its success rail.  A row sums to P_post; the rest to
-    1 is rejected.  With W the measurement stage on each clone pair, a row
-    is |(W x W) A|^2 of the kernel amplitudes.
+    One mesh build for phase vectors (..., n_phases); the (..., S, 4) result
+    holds state s's unnormalized p[a, b] in logical order (00, 01, 10, 11),
+    where a or b = 0 means that clone's photon exits its success rail.  A row
+    sums to P_post; the rest to 1 is rejected.  With W the measurement stage
+    on each clone pair, a row is |(W x W) A|^2 of the kernel amplitudes.
     """
-    u = build_mesh(four_mode_spec(spec), params).tolist()
-    amps = np.array([_coincidence_amplitudes(u, psi.ket(), rails) for psi in states]).reshape(-1, 2, 2)
-    w = np.array([measurement_phases(psi).rotation() for psi in states]).reshape(-1, 2, 2)
-    return (np.abs(w @ amps @ w.transpose(0, 2, 1)) ** 2).reshape(-1, 4)
+    stack = StateStack(states)
+    amps = _coincidence_amplitudes(build_mesh(four_mode_spec(spec), params), stack.kets, rails)
+    w = stack.rotations
+    return (np.abs(w @ amps @ w.transpose(0, 2, 1)) ** 2).reshape(*amps.shape[:-2], 4)
 
 
 def measurement_path_outcome(
@@ -346,8 +361,8 @@ def measurement_path_outcome(
     F_i is the conditional probability that the pair-i photon exits the
     success rail given a coincidence; equals the density-matrix path.
     """
-    probs = measurement_path_probabilities(params, [psi], spec, rails)[0].tolist()
-    return _outcome(sum(probs), probs[0] + probs[1], probs[0] + probs[2])
+    p = measurement_path_probabilities(params, [psi], spec, rails)[0]
+    return CloningOutcome(*map(float, _outcome(p.sum(), p[0] + p[1], p[0] + p[2])))
 
 
 def _symmetric_terms(f1: float, f2: float) -> float:

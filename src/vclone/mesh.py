@@ -158,23 +158,20 @@ class MeshSpec:
 
 
 def build_mesh(spec: MeshSpec, params: np.ndarray | list[float]) -> np.ndarray:
-    """Mode unitary of the mesh for a given phase vector.
+    """Mode unitary of the mesh for a phase vector, or a stack of them.
 
-    Cells compose left to right: later cells multiply on the left.  Raises
-    ValueError when the phase vector length does not match the spec.
+    ``params`` of shape (..., n_phases) gives unitaries (..., m, m).  Cells
+    compose left to right: later cells multiply on the left, each on the two
+    rows it touches.  Raises ValueError when the phase count does not match.
     """
-    params = wrap_phases(params)
-    if params.shape != (spec.n_phases,):
-        raise ValueError(
-            f"expected {spec.n_phases} phases for this mesh, got {len(params)}"
-        )
-    # A block on pair (i, i+1) recomputes only rows i and i+1, as complex lists.
-    blocks = mzi_unitary(params[0::2], params[1::2]).reshape(-1, 4).tolist()
-    blocks += [balanced_coupler().ravel().tolist()] * len(spec.fixed_couplers)
-    rows = np.eye(spec.mode_count, dtype=complex).tolist()
-    for (i, _), (a, b, c, d) in zip((*spec.cell_pairs, *spec.fixed_couplers), blocks):
-        top, bottom = rows[i], rows[i + 1]
-        rows[i] = [a * x + b * y for x, y in zip(top, bottom)]
-        rows[i + 1] = [c * x + d * y for x, y in zip(top, bottom)]
-    return np.array(rows)
-
+    params = np.atleast_1d(wrap_phases(params))
+    if params.shape[-1] != spec.n_phases:
+        raise ValueError(f"expected {spec.n_phases} phases for this mesh, got {params.shape[-1]}")
+    u = np.tile(np.eye(spec.mode_count, dtype=complex), params.shape[:-1] + (1, 1))
+    cells = mzi_unitary(params[..., 0::2], params[..., 1::2])
+    # einsum adds the two products without fused multiply-adds: each row of a
+    # stack equals its own build, and both equal plain complex arithmetic.
+    for k, (i, _) in enumerate((*spec.cell_pairs, *spec.fixed_couplers)):
+        block = cells[..., k, :, :] if k < len(spec.cell_pairs) else balanced_coupler()
+        u[..., i : i + 2, :] = np.einsum("...ij,...jk->...ik", block, u[..., i : i + 2, :])
+    return u

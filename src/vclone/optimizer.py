@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -30,8 +30,8 @@ TRACE_SCHEMA_VERSION = 1
 CONVERGENCE_DIAMETER = 1e-8
 
 CostFn = Callable[[np.ndarray], "float | tuple[float, dict]"]
-#: Outcome of each state from one phase setting, shaped like ``clone_outcomes``.
-Evaluator = Callable[[np.ndarray, list[QubitState]], list[cloner.CloningOutcome]]
+#: Outcomes of each (phase vector, state) pair, row-major, shaped like ``clone_outcomes``.
+Evaluator = Callable[[np.ndarray, Sequence[QubitState]], list[cloner.CloningOutcome]]
 
 
 @dataclass(frozen=True)
@@ -133,18 +133,8 @@ class OptimizationTrace:
         )
 
 
-class _NonFiniteCost(Exception):
-    def __init__(self, point: np.ndarray, value: float) -> None:
-        super().__init__(f"non-finite cost {value} at {point}")
-        self.point = point
-
-
-class _BudgetExhausted(Exception):
-    pass
-
-
 def _simplex_diameter(simplex: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(simplex - simplex[0], axis=1)))
+    return math.sqrt(max(np.add.reduce((simplex - simplex[0]) ** 2, axis=1).tolist()))
 
 
 def _initial_simplex(center: np.ndarray, edge: float) -> np.ndarray:
@@ -155,58 +145,72 @@ def _initial_simplex(center: np.ndarray, edge: float) -> np.ndarray:
     return simplex
 
 
-def nelder_mead(cost: CostFn, init: Sequence[float], cfg: NMConfig) -> OptimizationTrace:
-    """Minimize ``cost`` starting from ``init`` and record every evaluation.
+class NelderMead:
+    """Nelder-Mead from ``init`` as an ask-tell state machine recording every evaluation.
 
-    ``cost`` may return a plain float or (float, extras-dict); extras are
-    stored on the trace record.  Ties in the simplex ordering break toward
-    the lowest vertex index (stable sort), so runs are fully deterministic.
-    A non-finite cost aborts the run with a diagnostic on the trace.
+    ``ask()`` gives the (k, d) points to evaluate next: d+1 for a simplex (re)build, d for
+    a shrink, 1 otherwise, cut to the budget left.  ``tell(results)`` takes their costs in
+    order, each a float or (float, extras-dict).  Ties in the simplex order break toward
+    the lowest vertex (stable sort), so runs are deterministic.  ``done`` is set when the
+    run is over; a non-finite cost ends it with a diagnostic on the trace.
     """
-    init = np.asarray(init, dtype=float)
-    d = len(init)
-    trace = OptimizationTrace(seed=cfg.seed)
-    pending_reboot = False
 
-    def evaluate(point: np.ndarray) -> float:
-        nonlocal pending_reboot
-        if trace.n_evaluations >= cfg.max_evaluations:
-            raise _BudgetExhausted
-        result = cost(point)
-        value, extras = result if isinstance(result, tuple) else (float(result), {})
-        value = float(value)
-        trace.n_evaluations += 1
-        if not math.isfinite(value):
-            raise _NonFiniteCost(point, value)
-        if value < trace.best_cost:
-            trace.best_cost = value
-            trace.best_point = point.copy()
-        trace.records.append(
-            TraceRecord(
-                evaluation=trace.n_evaluations,
-                iteration=trace.n_iterations,
-                point=[float(x) for x in point],
-                cost=value,
-                best_cost=trace.best_cost,
-                reboot=pending_reboot,
-                extras=extras,
-            )
-        )
-        pending_reboot = False
-        return value
+    def __init__(self, init: Sequence[float], cfg: NMConfig) -> None:
+        self.init, self.cfg = np.asarray(init, dtype=float), cfg
+        self.trace = OptimizationTrace(seed=cfg.seed)
+        self.done = self._reboot = False
+        self._search = self._steps()
+        self._ask(next(self._search))
 
-    def build_simplex(center: np.ndarray, edge: float) -> tuple[np.ndarray, np.ndarray]:
-        simplex = _initial_simplex(center, edge)
-        values = np.array([evaluate(p) for p in simplex])
-        return simplex, values
+    def ask(self) -> np.ndarray:
+        return self._asked
 
-    try:
-        simplex, values = build_simplex(init, cfg.initial_edge)
+    def tell(self, results: Sequence["float | tuple[float, dict]"]) -> None:
+        trace, values = self.trace, []
+        for point, result in zip(self._asked, results):
+            value, extras = result if isinstance(result, tuple) else (result, {})
+            value = float(value)
+            trace.n_evaluations += 1
+            if not math.isfinite(value):
+                trace.error = f"non-finite cost {value} at {point}"
+                return self._finish()
+            if value < trace.best_cost:
+                trace.best_cost, trace.best_point = value, point.copy()
+            trace.records.append(TraceRecord(
+                trace.n_evaluations, trace.n_iterations, point.tolist(),
+                value, trace.best_cost, self._reboot, extras,
+            ))
+            self._reboot = False
+            values.append(value)
+        if self._cut:
+            return self._finish()
+        try:
+            self._ask(self._search.send(np.array(values)))
+        except StopIteration:
+            self._finish()
+
+    def _ask(self, points: np.ndarray) -> None:
+        left = self.cfg.max_evaluations - self.trace.n_evaluations
+        self._asked, self._cut = points[:left], len(points) > left
+        if left <= 0:
+            self._finish()
+
+    def _finish(self) -> None:
+        self.done = True
+        self._search.close()
+        if self.trace.best_point is None:
+            self.trace.best_point = self.init.copy()
+
+    def _steps(self):
+        """The search as a generator: yields the points it needs, receives their costs."""
+        cfg, trace = self.cfg, self.trace
+        simplex = _initial_simplex(self.init, cfg.initial_edge)
+        values = yield simplex
         best_history = [trace.best_cost]  # best cost after each iteration
         iters_since_reboot = 0
 
         while trace.n_iterations < cfg.max_iterations and trace.n_evaluations < cfg.max_evaluations:
-            order = np.argsort(values, kind="stable")
+            order = values.argsort(kind="stable")
             simplex, values = simplex[order], values[order]
 
             # Reboot heuristic: best cost stagnant over the last K
@@ -217,28 +221,27 @@ def nelder_mead(cost: CostFn, init: Sequence[float], cfg: NMConfig) -> Optimizat
                 stagnant = window_start - trace.best_cost < cfg.stagnation_tol
                 if stagnant and diameter < cfg.collapse_diameter and trace.n_reboots < cfg.max_reboots:
                     trace.n_reboots += 1
-                    pending_reboot = True
-                    simplex, values = build_simplex(
-                        trace.best_point, cfg.reboot_scale * cfg.initial_edge
-                    )
+                    self._reboot = True
+                    simplex = _initial_simplex(trace.best_point, cfg.reboot_scale * cfg.initial_edge)
+                    values = yield simplex
                     best_history = [trace.best_cost]
                     iters_since_reboot = 0
                     continue
 
             if diameter < CONVERGENCE_DIAMETER:
-                break
+                return
 
             trace.n_iterations += 1
             iters_since_reboot += 1
 
-            centroid = np.mean(simplex[:-1], axis=0)
+            centroid = np.add.reduce(simplex[:-1]) / (len(simplex) - 1)
             worst = simplex[-1]
             reflected = centroid + cfg.reflection * (centroid - worst)
-            f_reflected = evaluate(reflected)
+            (f_reflected,) = yield reflected[None]
 
             if f_reflected < values[0]:
                 expanded = centroid + cfg.expansion * (reflected - centroid)
-                f_expanded = evaluate(expanded)
+                (f_expanded,) = yield expanded[None]
                 if f_expanded < f_reflected:
                     simplex[-1], values[-1] = expanded, f_expanded
                 else:
@@ -250,56 +253,63 @@ def nelder_mead(cost: CostFn, init: Sequence[float], cfg: NMConfig) -> Optimizat
                     contracted = centroid + cfg.contraction * (reflected - centroid)
                 else:
                     contracted = centroid + cfg.contraction * (worst - centroid)
-                f_contracted = evaluate(contracted)
+                (f_contracted,) = yield contracted[None]
                 if f_contracted < min(f_reflected, values[-1]):
                     simplex[-1], values[-1] = contracted, f_contracted
                 else:
                     # Shrink toward the best vertex.
-                    for k in range(1, d + 1):
-                        simplex[k] = simplex[0] + cfg.shrink * (simplex[k] - simplex[0])
-                        values[k] = evaluate(simplex[k])
+                    simplex[1:] = simplex[0] + cfg.shrink * (simplex[1:] - simplex[0])
+                    values[1:] = yield simplex[1:]
 
             best_history.append(trace.best_cost)
-    except _BudgetExhausted:
-        pass
-    except _NonFiniteCost as exc:
-        trace.error = str(exc)
 
-    if trace.best_point is None:
-        trace.best_point = init.copy()
-    return trace
+
+def nelder_mead(cost: CostFn, init: Sequence[float], cfg: NMConfig) -> OptimizationTrace:
+    """Minimize ``cost`` (a float or (float, extras-dict) per point) from ``init``,
+    evaluating the points of one ``NelderMead`` run one by one, in order."""
+    search = NelderMead(init, cfg)
+    while not search.done:
+        search.tell([cost(point) for point in search.ask()])
+    return search.trace
 
 
 @dataclass(frozen=True)
 class Task:
-    """A trainable objective: named cost over a phase vector of given size."""
+    """A trainable objective over a phase vector of given size: ``costs`` maps (B, dim)
+    points to their B (float, extras-dict) results, and ``cost`` is its batch of one."""
 
     name: str
     dim: int
-    cost: CostFn
+    costs: Callable[[np.ndarray], list[tuple[float, dict]]]
+
+    def cost(self, point: np.ndarray) -> tuple[float, dict]:
+        return self.costs(np.asarray(point, dtype=float)[None])[0]
 
 
 def _cloning_task(name: str, states: dict[str, QubitState], lam: float | None,
                   spec: MeshSpec | None, rails: RailMap, evaluator: Evaluator | None) -> Task:
     """Symmetric cloning cost summed over the labelled states, plus lam times the
     symmetric terms of the first two states' P_post when lam is set.  One
-    evaluator call (default: the exact kernel) covers every state.
+    evaluator call (default: the exact kernel) covers every point and state.
     """
     spec = cloner.four_mode_spec(spec)
-    labels, kets = list(states), list(states.values())
+    labels, kets = list(states), cloner.StateStack(states.values())
     evaluate = evaluator or partial(clone_outcomes, spec=spec, rails=rails)
 
-    def cost(params: np.ndarray) -> tuple[float, dict]:
-        outs = evaluate(params, kets)
-        total = 0.0
-        for out in outs:
-            total += _symmetric_terms(out.f1, out.f2)
-        if lam is not None:
-            total += lam * _symmetric_terms(outs[0].p_post, outs[1].p_post)
-        extras = {k: {"f1": o.f1, "f2": o.f2, "p": o.p_post} for k, o in zip(labels, outs)}
-        return total, extras
+    def costs(points: np.ndarray) -> list[tuple[float, dict]]:
+        outs, n = evaluate(points, kets), len(kets)
+        results = []
+        for row in (outs[i : i + n] for i in range(0, n * len(points), n)):
+            total = 0.0
+            for out in row:
+                total += _symmetric_terms(out.f1, out.f2)
+            if lam is not None:
+                total += lam * _symmetric_terms(row[0].p_post, row[1].p_post)
+            extras = {k: {"f1": o.f1, "f2": o.f2, "p": o.p_post} for k, o in zip(labels, row)}
+            results.append((total, extras))
+        return results
 
-    return Task(name=name, dim=spec.n_phases, cost=cost)
+    return Task(name=name, dim=spec.n_phases, costs=costs)
 
 
 def pc_task(
@@ -336,27 +346,33 @@ def train(
     restarts: int,
     seed: int | None = None,
 ) -> tuple[OptimizationTrace, list[OptimizationTrace]]:
-    """Run independent seeded optimizations and keep the lowest-cost trace.
+    """Run independent seeded optimizations in lockstep and keep the lowest-cost trace.
 
     Restart r uses seed ``seed + r`` (falling back to cfg.seed) for its
     uniform initial point on [0, 2*pi)^dim.  ``task`` may be a factory
     mapping the restart index to a Task, so noisy tasks get independent
-    sample streams per restart.  Returns (best trace, all traces); ties go
-    to the earliest restart.
+    sample streams per restart.  Restarts sharing one Task step together:
+    each step is one ``costs`` call on the points all of them ask for, in
+    restart order, so restarts sharing a stateful Task share one stream.
+    Returns (best trace, all traces); ties go to the earliest restart.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
     base_seed = cfg.seed if seed is None else seed
-    traces = []
+    runs = []
     for r in range(restarts):
         run_task = task(r) if callable(task) else task
-        run_seed = base_seed + r
-        rng = np.random.default_rng(run_seed)
-        init = rng.uniform(0.0, 2.0 * math.pi, run_task.dim)
-        run_cfg = NMConfig(**{**asdict(cfg), "seed": run_seed})
-        traces.append(nelder_mead(run_task.cost, init, run_cfg))
-    best = min(traces, key=lambda t: t.best_cost)
-    return best, traces
+        init = np.random.default_rng(base_seed + r).uniform(0.0, 2.0 * math.pi, run_task.dim)
+        runs.append((run_task, NelderMead(init, replace(cfg, seed=base_seed + r))))
+    for shared in {id(t): t for t, _ in runs}.values():
+        searches = [search for t, search in runs if t is shared]
+        while live := [search for search in searches if not search.done]:
+            asked = [search.ask() for search in live]
+            results = iter(shared.costs(np.concatenate(asked)))
+            for search, points in zip(live, asked):
+                search.tell([next(results) for _ in points])
+    traces = [search.trace for _, search in runs]
+    return min(traces, key=lambda t: t.best_cost), traces
 
 
 def validate_sweep(

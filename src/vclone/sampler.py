@@ -122,12 +122,12 @@ def sampled_evaluator(
     spec: MeshSpec | None = None,
     rails: RailMap = DEFAULT_RAILS,
 ) -> Callable[[np.ndarray, list[QubitState]], list[CloningOutcome]]:
-    """Evaluator (params, states) -> one outcome per state, for the training tasks.
+    """Evaluator (params, states) -> outcomes of each (phase vector, state), row-major.
 
-    Exact mode (shots=None) returns the kernel, ``clone_outcomes``.  Otherwise
-    each call builds the mesh once, draws every state's counts in one
-    multinomial call and estimates each state from its own counts, from one
-    generator seeded by the noise config: a fixed seed gives a deterministic run.
+    Exact mode (shots=None) returns the kernel, ``clone_outcomes``.  Otherwise each
+    call builds the mesh once, draws all rows' counts in one multinomial call, in the
+    order of drawing the phase vectors one by one, and estimates each row from its own
+    counts, from one generator seeded by the noise config: a fixed seed gives a deterministic run.
     """
     spec = four_mode_spec(spec)
     if noise.shots is None:
@@ -136,7 +136,7 @@ def sampled_evaluator(
 
     def evaluate(params: np.ndarray, states: list[QubitState]) -> list[CloningOutcome]:
         probs = measurement_path_probabilities(params, states, spec, rails)
-        counts = sample_counts(probs, noise.shots, rng)
+        counts = sample_counts(probs, noise.shots, rng).reshape(-1, 4)
         return [estimate_outcome(row, noise.shots).outcome() for row in counts.tolist()]
 
     return evaluate

@@ -211,6 +211,15 @@ def test_validate_uses_the_run_mesh(tmp_path, runner):
         assert float(s_row["f1"]) == pytest.approx(float(t_row["f1"]), abs=1e-12)
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_validate_rejects_count_below_one(tmp_path, runner, count):
+    (tmp_path / "best_params.json").write_text(json.dumps({"phases": [0.0] * 12}))
+    result = runner.invoke(main, ["validate", "--params", str(tmp_path), "--count", count])
+    assert result.exit_code == 2
+    assert "Invalid value for '--count'" in result.output
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_validate_missing_params(tmp_path, runner):
     result = runner.invoke(main, ["validate", "--params", str(tmp_path / "nope.json")])
     assert result.exit_code != 0

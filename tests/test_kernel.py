@@ -116,6 +116,31 @@ def test_batched_measurement_probabilities_match_evolve(spec_params, states, rai
         assert np.max(np.abs(row - _measured_oracle(params, psi, spec, rails))) < TOL
 
 
+@settings(max_examples=100, deadline=None)
+@given(_random_specs, st.integers(1, 6), st.integers(0, 2**32 - 1), _states, _random_rails())
+def test_batched_kernel_rows_equal_single_point_calls(spec, batch, seed, states, rails):
+    # A (B, n_phases) stack gives B*S outcomes in row-major order and (B, S, 4)
+    # probabilities; each row is bitwise the call on its own phase vector.
+    params = np.random.default_rng(seed).uniform(-10.0, 10.0, (batch, spec.n_phases))
+    singles = [out for p in params for out in clone_outcomes(p, states, spec, rails)]
+    assert clone_outcomes(params, states, spec, rails) == singles
+    stacked = measurement_path_probabilities(params, states, spec, rails)
+    assert stacked.shape == (batch, len(states), 4)
+    for p, rows in zip(params, stacked):
+        assert np.array_equal(rows, measurement_path_probabilities(p, states, spec, rails))
+
+
+def test_state_stack_is_built_once():
+    states = [QubitState.equatorial(0.3), QubitState(0.2, 1.1)]
+    stack = cloner.StateStack(states)
+    assert cloner.StateStack(stack) is stack
+    assert stack == tuple(states)
+    assert stack.kets.shape == (2, 2) and stack.rotations.shape == (2, 2, 2)
+    assert np.array_equal(stack.rotations[1], measurement_phases(states[1]).rotation())
+    params = np.random.default_rng(1).uniform(0, 2 * np.pi, 12)
+    assert clone_outcomes(params, stack) == clone_outcomes(params, states)
+
+
 def test_measurement_probabilities_of_no_states():
     assert measurement_path_probabilities(np.zeros(12), []).shape == (0, 4)
 

@@ -167,6 +167,31 @@ def test_build_mesh_matches_embedded_product_with_fixed_couplers(params):
     assert np.max(np.abs(build_mesh(spec, params) - u)) < 1e-12
 
 
+_COUPLED_MESH = MeshSpec(mode_count=4, cell_pairs=((1, 2), (0, 1), (2, 3), (1, 2)),
+                         fixed_couplers=((0, 1), (2, 3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([MeshSpec.four_mode_core(), _COUPLED_MESH]),
+       st.sampled_from([(1,), (5,), (2, 3)]), st.integers(0, 2**32 - 1))
+def test_batched_build_mesh_rows_equal_single_builds(spec, batch, seed):
+    # A stack of phase vectors builds every unitary at once; each must be
+    # bitwise the 1-D build of its own row, and unitary.
+    params = np.random.default_rng(seed).uniform(-20.0, 20.0, batch + (spec.n_phases,))
+    stacked = build_mesh(spec, params)
+    assert stacked.shape == batch + (4, 4)
+    for index in np.ndindex(*batch):
+        single = build_mesh(spec, params[index])
+        assert single.shape == (4, 4)
+        assert np.array_equal(stacked[index], single)
+        assert is_unitary(stacked[index])
+
+
+def test_batched_build_mesh_rejects_wrong_arity():
+    with pytest.raises(ValueError, match="expected 12 phases for this mesh, got 11"):
+        build_mesh(MeshSpec.four_mode_core(), np.zeros((3, 11)))
+
+
 def test_mzi_unitary_vectorizes_over_phases():
     rng = np.random.default_rng(8)
     thetas, phis = rng.uniform(-7, 7, 5), rng.uniform(-7, 7, 5)

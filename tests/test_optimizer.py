@@ -16,6 +16,7 @@ from vclone.optimizer import (
     train,
     validate_sweep,
 )
+from vclone.sampler import NoiseConfig, sampled_evaluator
 
 
 def quadratic_1d(x):
@@ -105,21 +106,30 @@ def test_wrapping_recorded_points_preserves_cost():
 
 
 def test_evaluation_accounting(monkeypatch):
-    # One kernel call per evaluation covers all four training states.
-    calls = {"n": 0, "states": 0}
-    real = optimizer.clone_outcomes
+    # Lockstep restarts sharing one task: each kernel call covers the rows the
+    # restarts asked for, times the four training states.
+    calls, asked = [], []
+    real, real_ask = optimizer.clone_outcomes, optimizer.NelderMead.ask
 
     def counting(params, states, *args, **kwargs):
-        calls["n"] += 1
-        calls["states"] += len(states)
+        calls.append((len(np.atleast_2d(params)), len(states)))
         return real(params, states, *args, **kwargs)
 
+    def counting_ask(search):
+        points = real_ask(search)
+        asked.append(len(points))
+        return points
+
     monkeypatch.setattr(optimizer, "clone_outcomes", counting)
-    task = pc_task()
-    rng = np.random.default_rng(9)
-    trace = nelder_mead(task.cost, rng.uniform(0, 2 * np.pi, 12), NMConfig(max_evaluations=40))
-    assert trace.n_evaluations == calls["n"]
-    assert trace.n_evaluations == calls["states"] / len(cloner.TRAINING_PHASES)
+    monkeypatch.setattr(optimizer.NelderMead, "ask", counting_ask)
+    _, traces = train(pc_task(), NMConfig(max_evaluations=40), restarts=3, seed=9)
+    evaluations = sum(t.n_evaluations for t in traces)
+    states = len(cloner.TRAINING_PHASES)
+    assert sum(rows * n for rows, n in calls) == states * evaluations
+    assert all(n == states for _, n in calls)
+    assert sum(rows for rows, _ in calls) == sum(asked) == evaluations
+    assert calls[0][0] == 3 * 13  # the first call holds the three simplex builds
+    assert max(rows for rows, _ in calls) <= 3 * 13
 
 
 def test_trace_jsonl_roundtrip(tmp_path):
@@ -242,6 +252,101 @@ def test_train_accepts_task_factory():
     cfg = NMConfig(max_evaluations=30)
     train(factory, cfg, restarts=2, seed=0)
     assert built == [0, 1]
+
+
+def _solo_runs(task, cfg, restarts, seed):
+    """Each restart of ``train`` run alone through ``nelder_mead`` on the scalar cost."""
+    return [
+        nelder_mead(task.cost, np.random.default_rng(seed + r).uniform(0, 2 * np.pi, task.dim),
+                    dataclasses.replace(cfg, seed=seed + r))
+        for r in range(restarts)
+    ]
+
+
+@pytest.mark.parametrize("name", ["pc", "sd"])
+def test_lockstep_traces_equal_solo_runs(name):
+    task = pc_task() if name == "pc" else sd_task(*cloner.DEFAULT_SD_PAIRS[1], lam=1.0)
+    # A short stagnation window makes the restarts reboot within the budget.
+    cfg = NMConfig(max_evaluations=300, stagnation_window=10, collapse_diameter=1.0)
+    _, traces = train(task, cfg, restarts=3, seed=2)
+    assert sum(t.n_reboots for t in traces) > 0
+    for trace, solo in zip(traces, _solo_runs(task, cfg, 3, 2)):
+        assert trace.records == solo.records
+        assert len(trace.records) == trace.n_evaluations == 300
+        assert (trace.n_iterations, trace.n_reboots, trace.best_cost) == (
+            solo.n_iterations, solo.n_reboots, solo.best_cost)
+        assert np.array_equal(trace.best_point, solo.best_point)
+
+
+def test_lockstep_noisy_restarts_keep_their_own_streams():
+    # One task per restart: the batched draws of a simplex build must equal
+    # the draws of its points one after another.
+    def factory(restart):
+        return pc_task(evaluator=sampled_evaluator(NoiseConfig(shots=2000, seed=40 + restart)))
+
+    cfg = NMConfig(max_evaluations=150)
+    _, traces = train(factory, cfg, restarts=2, seed=9)
+    for r, trace in enumerate(traces):
+        init = np.random.default_rng(9 + r).uniform(0, 2 * np.pi, 12)
+        solo = nelder_mead(factory(r).cost, init, dataclasses.replace(cfg, seed=9 + r))
+        assert trace.records == solo.records
+
+
+def _steps(cost, init, cfg):
+    """(evaluations before, rows asked) for each step of one ask-tell run."""
+    search, steps = optimizer.NelderMead(init, cfg), []
+    while not search.done:
+        points = search.ask()
+        steps.append((search.trace.n_evaluations, len(points)))
+        search.tell([cost(p) for p in points])
+    return steps
+
+
+def _rosenbrock_4d(x):
+    return rosenbrock(x) + float(np.sum(np.abs(x[2:])))
+
+
+@pytest.mark.parametrize("batch", ["simplex build", "shrink"])
+def test_budget_runs_out_inside_a_batch(batch):
+    init, d = [1.0, -2.0, 0.5, 3.0], 4
+    steps = _steps(_rosenbrock_4d, init, NMConfig(max_evaluations=2000))
+    assert steps[0] == (0, d + 1)
+    assert {rows for _, rows in steps} == {1, d, d + 1}
+    start, rows = steps[0] if batch == "simplex build" else next(s for s in steps if s[1] == d)
+    budget = start + rows // 2
+    full = nelder_mead(_rosenbrock_4d, init, NMConfig(max_evaluations=2000))
+    trace = nelder_mead(_rosenbrock_4d, init, NMConfig(max_evaluations=budget))
+    assert len(trace.records) == trace.n_evaluations == budget
+    assert trace.records == full.records[:budget]
+
+
+def test_budget_cuts_every_lockstep_build():
+    _, traces = train(pc_task(), NMConfig(max_evaluations=5), restarts=3, seed=1)
+    for trace in traces:
+        assert len(trace.records) == trace.n_evaluations == 5
+        assert trace.n_iterations == 0 and trace.error is None
+
+
+def test_non_finite_row_in_shared_batch_stops_only_its_restart():
+    seed, cfg = 3, NMConfig(max_evaluations=100)
+    poisoned = np.random.default_rng(seed + 1).uniform(0, 2 * np.pi, 2)  # restart 1's first point
+    batches = []
+
+    def costs(points):
+        batches.append(len(points))
+        return [(float("nan") if np.array_equal(p, poisoned) else rosenbrock(p), {}) for p in points]
+
+    task = optimizer.Task(name="rosenbrock", dim=2, costs=costs)
+    _, traces = train(task, cfg, restarts=3, seed=seed)
+    assert batches[0] == 3 * 3  # the poisoned row arrives with the other builds
+    assert "non-finite cost nan" in traces[1].error
+    assert traces[1].n_evaluations == 1 and traces[1].records == []
+    assert np.array_equal(traces[1].best_point, poisoned)
+    for r in (0, 2):
+        assert traces[r].error is None
+        assert len(traces[r].records) == traces[r].n_evaluations == cfg.max_evaluations
+    solo = _solo_runs(task, cfg, 3, seed)
+    assert traces[0].records == solo[0].records and traces[2].records == solo[2].records
 
 
 def test_train_zero_restarts_rejected():

@@ -244,13 +244,9 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
         make_task = partial(optimizer.sd_task, psi_a, psi_b, lam, spec)
         noiseless_cost = partial(cloner.cost_sd, psi_a=psi_a, psi_b=psi_b, lam=lam, spec=spec)
 
-    def task_for(restart: int) -> optimizer.Task:
-        restart_noise = sampler.NoiseConfig(shots=noise.shots, seed=noise.seed + restart)
-        return make_task(evaluator=sampler.sampled_evaluator(restart_noise, spec))
-
-    # Exact restarts share a Task: one kernel call per lockstep step. Noisy ones keep their streams.
-    shared = _field("mesh", task_for, 0)  # fail on a bad mesh before the run directory exists
-    task = shared if noise.shots is None else task_for
+    # One Task for all restarts; a noisy one draws restart r's rows from noise seed + r.
+    # Built before the run directory exists, so a bad mesh fails first.
+    task = _field("mesh", lambda: make_task(evaluator=sampler.sampled_evaluator(noise, spec)))
 
     run_dir = Path(out_dir or config.get("output_dir", "runs/latest"))
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -310,6 +306,25 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
         click.echo(f"  {row[0]}: F1={row[1]} F2={row[2]} P={row[3]}")
 
 
+def _read_phases(path: Path, n_phases: int) -> np.ndarray:
+    """The ``phases`` of a best_params.json, as n_phases floats; any other content is a
+    ClickException naming the file and the field."""
+    try:
+        payload = json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise click.ClickException(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict) or "phases" not in payload:
+        raise click.ClickException(f"{path}: missing field 'phases'")
+    try:
+        params = np.array(payload["phases"], dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise click.ClickException(f"{path}: invalid field 'phases': {exc}") from None
+    if params.shape != (n_phases,):
+        raise click.ClickException(
+            f"{path}: invalid field 'phases': the run's mesh takes {n_phases}, got shape {params.shape}")
+    return params
+
+
 @main.command("validate")
 @click.option("--params", "params_path", required=True, type=click.Path(path_type=Path),
               help="best_params.json file or a run directory containing one.")
@@ -323,11 +338,10 @@ def cmd_validate(params_path: Path, count: int, out_path: Path | None) -> None:
         params_path = params_path / "best_params.json"
     if not params_path.exists():
         raise click.ClickException(f"no parameters file at {params_path}")
-    payload = json.loads(params_path.read_text())
-    params = np.array(payload["phases"], dtype=float)
     # Sweep on the run's own mesh, from the config.json that train writes alongside.
     config_path = params_path.parent / "config.json"
     spec = _field("mesh", mesh_from_config, load_config(config_path)[0]) if config_path.exists() else None
+    params = _read_phases(params_path, cloner.four_mode_spec(spec).n_phases)
 
     rows = optimizer.validate_sweep(params, count=count, spec=spec)
     out_path = Path(out_path) if out_path else params_path.parent / "sweep.csv"
@@ -358,7 +372,12 @@ def cmd_report(run_dir: Path) -> None:
     if not trace_files:
         raise click.ClickException(f"no traces found under {run_dir}")
 
-    traces = [optimizer.OptimizationTrace.from_jsonl(p) for p in trace_files]
+    traces = []
+    for path in trace_files:
+        try:
+            traces.append(optimizer.OptimizationTrace.from_jsonl(path))
+        except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+            raise click.ClickException(f"cannot read trace {path}: {exc}") from None
     for path, trace in zip(trace_files, traces):
         _echo_aborted(path, trace)
     best = min(traces, key=lambda t: t.best_cost)

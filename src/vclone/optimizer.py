@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,8 +29,10 @@ TRACE_SCHEMA_VERSION = 1
 CONVERGENCE_DIAMETER = 1e-8
 
 CostFn = Callable[[np.ndarray], "float | tuple[float, dict]"]
-#: Outcomes of each (phase vector, state) pair, row-major, shaped like ``clone_outcomes``.
-Evaluator = Callable[[np.ndarray, Sequence[QubitState]], list[cloner.CloningOutcome]]
+#: (params, states, restarts=None) -> outcomes of each (phase vector, state) pair, row-major,
+#: shaped like ``clone_outcomes``; ``restarts`` names the restart that asked for each phase
+#: vector (None: all restart 0).
+Evaluator = Callable[..., list[cloner.CloningOutcome]]
 
 
 @dataclass(frozen=True)
@@ -117,8 +118,9 @@ class OptimizationTrace:
     def from_jsonl(cls, path) -> "OptimizationTrace":
         with open(path) as fh:
             header = json.loads(fh.readline())
-            if header.get("schema_version") != TRACE_SCHEMA_VERSION:
-                raise ValueError(f"unsupported trace schema in {path}")
+            version = header.get("schema_version") if isinstance(header, dict) else None
+            if version != TRACE_SCHEMA_VERSION:
+                raise ValueError(f"unsupported trace schema {version!r}")
             records = [TraceRecord(**json.loads(line)) for line in fh if line.strip()]
         best_point = header["best_point"]
         return cls(
@@ -275,15 +277,17 @@ def nelder_mead(cost: CostFn, init: Sequence[float], cfg: NMConfig) -> Optimizat
 
 @dataclass(frozen=True)
 class Task:
-    """A trainable objective over a phase vector of given size: ``costs`` maps (B, dim)
-    points to their B (float, extras-dict) results, and ``cost`` is its batch of one."""
+    """A trainable objective over a phase vector of given size: ``costs(points, restarts)``
+    maps (B, dim) points, asked for by the restarts named row by row, to their B
+    (float, extras-dict) results, and ``cost`` is its batch of one.  A stateful
+    cost, such as a sampled one, keeps one stream per restart; others ignore it."""
 
     name: str
     dim: int
-    costs: Callable[[np.ndarray], list[tuple[float, dict]]]
+    costs: Callable[[np.ndarray, Sequence[int]], list[tuple[float, dict]]]
 
-    def cost(self, point: np.ndarray) -> tuple[float, dict]:
-        return self.costs(np.asarray(point, dtype=float)[None])[0]
+    def cost(self, point: np.ndarray, restart: int = 0) -> tuple[float, dict]:
+        return self.costs(np.asarray(point, dtype=float)[None], [restart])[0]
 
 
 def _cloning_task(name: str, states: dict[str, QubitState], lam: float | None,
@@ -294,10 +298,11 @@ def _cloning_task(name: str, states: dict[str, QubitState], lam: float | None,
     """
     spec = cloner.four_mode_spec(spec)
     labels, kets = list(states), cloner.StateStack(states.values())
-    evaluate = evaluator or partial(clone_outcomes, spec=spec, rails=rails)
+    evaluate = evaluator or (
+        lambda params, states, restarts=None: clone_outcomes(params, states, spec=spec, rails=rails))
 
-    def costs(points: np.ndarray) -> list[tuple[float, dict]]:
-        outs, n = evaluate(points, kets), len(kets)
+    def costs(points: np.ndarray, restarts: Sequence[int]) -> list[tuple[float, dict]]:
+        outs, n = evaluate(points, kets, restarts), len(kets)
         results = []
         for row in (outs[i : i + n] for i in range(0, n * len(points), n)):
             total = 0.0
@@ -341,7 +346,7 @@ def sd_task(
 
 
 def train(
-    task: "Task | Callable[[int], Task]",
+    task: Task,
     cfg: NMConfig,
     restarts: int,
     seed: int | None = None,
@@ -349,29 +354,27 @@ def train(
     """Run independent seeded optimizations in lockstep and keep the lowest-cost trace.
 
     Restart r uses seed ``seed + r`` (falling back to cfg.seed) for its
-    uniform initial point on [0, 2*pi)^dim.  ``task`` may be a factory
-    mapping the restart index to a Task, so noisy tasks get independent
-    sample streams per restart.  Restarts sharing one Task step together:
-    each step is one ``costs`` call on the points all of them ask for, in
-    restart order, so restarts sharing a stateful Task share one stream.
+    uniform initial point on [0, 2*pi)^dim.  The restarts step together:
+    each step is one ``task.costs`` call on the points every live restart
+    asks for, in restart order, each row tagged with its restart index, so
+    a sampled task draws each restart's rows from that restart's stream.
     Returns (best trace, all traces); ties go to the earliest restart.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
     base_seed = cfg.seed if seed is None else seed
-    runs = []
-    for r in range(restarts):
-        run_task = task(r) if callable(task) else task
-        init = np.random.default_rng(base_seed + r).uniform(0.0, 2.0 * math.pi, run_task.dim)
-        runs.append((run_task, NelderMead(init, replace(cfg, seed=base_seed + r))))
-    for shared in {id(t): t for t, _ in runs}.values():
-        searches = [search for t, search in runs if t is shared]
-        while live := [search for search in searches if not search.done]:
-            asked = [search.ask() for search in live]
-            results = iter(shared.costs(np.concatenate(asked)))
-            for search, points in zip(live, asked):
-                search.tell([next(results) for _ in points])
-    traces = [search.trace for _, search in runs]
+    searches = [
+        NelderMead(np.random.default_rng(base_seed + r).uniform(0.0, 2.0 * math.pi, task.dim),
+                   replace(cfg, seed=base_seed + r))
+        for r in range(restarts)
+    ]
+    while live := [r for r, search in enumerate(searches) if not search.done]:
+        asked = [searches[r].ask() for r in live]
+        owners = [r for r, points in zip(live, asked) for _ in points]
+        results = iter(task.costs(np.concatenate(asked), owners))
+        for r, points in zip(live, asked):
+            searches[r].tell([next(results) for _ in points])
+    traces = [search.trace for search in searches]
     return min(traces, key=lambda t: t.best_cost), traces
 
 

@@ -2,17 +2,17 @@
 
 Each cost evaluation on hardware sets the phases once, then measures every
 training state with a finite number of two-fold coincidences.  Here one mesh
-build gives every state's measurement-stage distribution, one multinomial
-draw takes N trials per state (four coincidence patterns plus a rejected
-bin), and fidelities are estimated from conditional counts as on the device.
+build gives the measurement-stage distribution of every state at every phase
+vector of a call, whichever restarts asked for them.  Each restart draws its
+own rows from its own seeded generator, one multinomial call per restart: N
+trials per state (four coincidence patterns plus a rejected bin).  Fidelities
+are estimated from conditional counts as on the device, for all rows at once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,84 +59,102 @@ def sample_counts(
     return counts[..., :-1]
 
 
+def _binomial_err(p, n):
+    """sqrt(p(1-p)/n); with n = 0 (then p = 0 too) it is 0."""
+    return np.sqrt(np.maximum(p * (1.0 - p), 0.0) / np.maximum(n, 1))
+
+
 @dataclass(frozen=True)
 class EstimatedOutcome:
-    """Estimated fidelities and success probability with binomial errors."""
+    """Estimated fidelities and success probability, with their binomial errors on demand.
+
+    ``estimate_outcomes`` fills the fields with arrays over rows; ``estimate_outcome``
+    with the Python scalars of one row.
+    """
 
     f1: float
     f2: float
     p_post: float
-    f1_err: float
-    f2_err: float
-    p_err: float
     n_coincidences: int
     shots: int
     valid: bool
 
-    def outcome(self) -> CloningOutcome:
-        return CloningOutcome(f1=self.f1, f2=self.f2, p_post=self.p_post)
+    @property
+    def f1_err(self) -> float:
+        return _binomial_err(self.f1, self.n_coincidences)
+
+    @property
+    def f2_err(self) -> float:
+        return _binomial_err(self.f2, self.n_coincidences)
+
+    @property
+    def p_err(self) -> float:
+        return _binomial_err(self.p_post, self.shots)
 
 
-def _binomial_err(p: float, n: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 0.0) / n) if n > 0 else 0.0
+def estimate_outcomes(counts: np.ndarray, shots: int) -> EstimatedOutcome:
+    """Estimate (F1, F2, P_post) from coincidence counts (..., 4); each field but ``shots``
+    is a (...) array.
+
+    The counts of a row are the four coincidence-pattern counts in logical
+    order (00, 01, 10, 11); bit 0 means the clone photon exited its success
+    rail.  F_i is the fraction of coincidences with the pair-i photon in the
+    success rail.  A row with zero coincidences is invalid, with all values 0.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.shape[-1:] != (4,):
+        raise ValueError("expected the four coincidence-pattern counts")
+    coinc = counts.sum(axis=-1)
+    n = np.maximum(coinc, 1)  # a row without coincidences has all counts 0, so F = 0 / 1
+    f1 = (counts[..., 0] + counts[..., 1]) / n
+    f2 = (counts[..., 0] + counts[..., 2]) / n
+    return EstimatedOutcome(f1, f2, coinc / shots, coinc, shots, coinc > 0)
 
 
 def estimate_outcome(counts: np.ndarray | list[int], shots: int) -> EstimatedOutcome:
-    """Estimate (F1, F2, P_post) from coincidence counts.
-
-    ``counts`` are the four coincidence-pattern counts in logical order
-    (00, 01, 10, 11); bit 0 means the clone photon exited its success
-    rail.  F_i is the fraction of coincidences with the pair-i photon in
-    the success rail.  Zero coincidences yield an invalid estimate with
-    all values 0.
-    """
-    counts = np.asarray(counts, dtype=int)
+    """``estimate_outcomes`` of one row of four counts, as Python scalars."""
+    counts = np.asarray(counts, dtype=np.int64)
     if counts.shape != (4,):
         raise ValueError("expected the four coincidence-pattern counts")
-    c00, c01, c10, c11 = counts.tolist()
-    coinc = c00 + c01 + c10 + c11
-    p_hat = coinc / shots
-    if coinc == 0:
-        return EstimatedOutcome(
-            f1=0.0, f2=0.0, p_post=0.0,
-            f1_err=0.0, f2_err=0.0, p_err=_binomial_err(p_hat, shots),
-            n_coincidences=0, shots=shots, valid=False,
-        )
-    f1_hat = (c00 + c01) / coinc
-    f2_hat = (c00 + c10) / coinc
-    return EstimatedOutcome(
-        f1=f1_hat,
-        f2=f2_hat,
-        p_post=p_hat,
-        f1_err=_binomial_err(f1_hat, coinc),
-        f2_err=_binomial_err(f2_hat, coinc),
-        p_err=_binomial_err(p_hat, shots),
-        n_coincidences=coinc,
-        shots=shots,
-        valid=True,
-    )
+    row = estimate_outcomes(counts, shots)
+    return EstimatedOutcome(row.f1.item(), row.f2.item(), row.p_post.item(),
+                            row.n_coincidences.item(), shots, row.valid.item())
 
 
 def sampled_evaluator(
     noise: NoiseConfig,
     spec: MeshSpec | None = None,
     rails: RailMap = DEFAULT_RAILS,
-) -> Callable[[np.ndarray, list[QubitState]], list[CloningOutcome]]:
-    """Evaluator (params, states) -> outcomes of each (phase vector, state), row-major.
+) -> Callable[..., list[CloningOutcome]]:
+    """Evaluator (params, states, restarts=None) -> outcomes of each (phase vector, state), row-major.
 
-    Exact mode (shots=None) returns the kernel, ``clone_outcomes``.  Otherwise each
-    call builds the mesh once, draws all rows' counts in one multinomial call, in the
-    order of drawing the phase vectors one by one, and estimates each row from its own
-    counts, from one generator seeded by the noise config: a fixed seed gives a deterministic run.
+    ``restarts`` names the restart that asked for each phase vector (None: all
+    restart 0).  Exact mode (shots=None) ignores it and calls the kernel,
+    ``clone_outcomes``.  Otherwise each call builds the mesh once for all phase
+    vectors, and restart r draws the counts of its own rows, in order, in one
+    multinomial call on its own generator, ``default_rng(noise.seed + r)``, made
+    on first use.  So each restart's sample stream is the one a single-stream
+    evaluator seeded ``noise.seed + r`` would give it, whatever it shares a call
+    with, and a fixed seed gives a deterministic run.
     """
     spec = four_mode_spec(spec)
     if noise.shots is None:
-        return partial(clone_outcomes, spec=spec, rails=rails)
-    rng = np.random.default_rng(noise.seed)
+        return lambda params, states, restarts=None: clone_outcomes(params, states, spec=spec, rails=rails)
+    shots, rngs = noise.shots, {}
 
-    def evaluate(params: np.ndarray, states: list[QubitState]) -> list[CloningOutcome]:
+    def evaluate(params: np.ndarray, states: Sequence[QubitState],
+                 restarts: Sequence[int] | None = None) -> list[CloningOutcome]:
         probs = measurement_path_probabilities(params, states, spec, rails)
-        counts = sample_counts(probs, noise.shots, rng).reshape(-1, 4)
-        return [estimate_outcome(row, noise.shots).outcome() for row in counts.tolist()]
+        probs = probs.reshape(-1, *probs.shape[-2:])
+        owners = np.zeros(len(probs), dtype=int) if restarts is None else np.asarray(restarts)
+        counts = np.empty(probs.shape, dtype=np.int64)
+        for r in dict.fromkeys(owners.tolist()):
+            if r not in rngs:
+                rngs[r] = np.random.default_rng(noise.seed + r)
+            rows = owners == r
+            counts[rows] = sample_counts(probs[rows], shots, rngs[r])
+        est = estimate_outcomes(counts, shots)
+        return list(map(CloningOutcome, est.f1.ravel().tolist(), est.f2.ravel().tolist(),
+                        est.p_post.ravel().tolist()))
 
     return evaluate

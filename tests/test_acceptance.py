@@ -252,10 +252,9 @@ def test_criterion_10_shot_noise(record):
     successes = 0
     runs = 20
     for run in range(runs):
-        def noisy_task(restart, run=run):
-            noise = sampler.NoiseConfig(shots=5000, seed=run * 100 + restart)
-            return pc_task(evaluator=sampler.sampled_evaluator(noise))
-
+        # One shared task; restart r draws from noise seed run * 100 + r.
+        noise = sampler.NoiseConfig(shots=5000, seed=run * 100)
+        noisy_task = pc_task(evaluator=sampler.sampled_evaluator(noise))
         noisy_best, _ = train(noisy_task, NMConfig(), restarts=4, seed=run * 1000)
         rows = validate_sweep(noisy_best.best_point, count=50)
         worst = min(min(f1, f2) for _, f1, f2, _ in rows)

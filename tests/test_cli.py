@@ -220,6 +220,26 @@ def test_validate_rejects_count_below_one(tmp_path, runner, count):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("content, message", [
+    (json.dumps({"phases": [0.0] * 8}), "invalid field 'phases'"),
+    (json.dumps({"cost": 0.1}), "missing field 'phases'"),
+    ("{not json", "is not valid JSON"),
+])
+def test_validate_rejects_bad_params_file(tmp_path, runner, content, message):
+    path = write_config(tmp_path / "cfg.json", restarts=1, nm={"max_evaluations": 20})
+    out = tmp_path / "run"
+    assert runner.invoke(main, ["train", "--config", str(path), "--out", str(out)]).exit_code == 0
+    params = out / "best_params.json"
+    params.write_text(content)
+    manifest = (out / "manifest.json").read_text()
+    result = runner.invoke(main, ["validate", "--params", str(out)])
+    assert result.exit_code == 1
+    assert str(params) in result.output and message in result.output
+    assert isinstance(result.exception, SystemExit)  # a ClickException, not a traceback
+    assert not (out / "sweep.csv").exists()
+    assert (out / "manifest.json").read_text() == manifest
+
+
 def test_validate_missing_params(tmp_path, runner):
     result = runner.invoke(main, ["validate", "--params", str(tmp_path / "nope.json")])
     assert result.exit_code != 0
@@ -273,6 +293,18 @@ def test_report_idempotent_and_in_manifest(tmp_path, runner):
 def test_report_empty_dir_errors(tmp_path, runner):
     result = runner.invoke(main, ["report", "--run", str(tmp_path)])
     assert result.exit_code != 0
+
+
+@pytest.mark.parametrize("header", [json.dumps({"schema_version": 99}), "not json"])
+def test_report_rejects_unreadable_trace(tmp_path, runner, header):
+    traces = tmp_path / "run" / "traces"
+    traces.mkdir(parents=True)
+    (traces / "restart_000.jsonl").write_text(header + "\n")
+    result = runner.invoke(main, ["report", "--run", str(tmp_path / "run")])
+    assert result.exit_code == 1
+    assert str(traces / "restart_000.jsonl") in result.output
+    assert isinstance(result.exception, SystemExit)  # a ClickException, not a traceback
+    assert not (tmp_path / "run" / "report").exists()
 
 
 def test_report_prints_aborted_restart(tmp_path, runner):

@@ -242,16 +242,18 @@ def test_train_restart_seeds_differ():
     assert [t.seed for t in traces] == [5, 6, 7]
 
 
-def test_train_accepts_task_factory():
-    built = []
+def test_train_tags_each_row_with_its_restart():
+    seen = []
+    task = pc_task()
 
-    def factory(restart):
-        built.append(restart)
-        return pc_task()
+    def costs(points, restarts):
+        seen.append(list(restarts))
+        return task.costs(points, restarts)
 
     cfg = NMConfig(max_evaluations=30)
-    train(factory, cfg, restarts=2, seed=0)
-    assert built == [0, 1]
+    train(optimizer.Task(task.name, task.dim, costs), cfg, restarts=2, seed=0)
+    assert seen[0] == [0] * 13 + [1] * 13
+    assert {r for step in seen for r in step} == {0, 1}
 
 
 def _solo_runs(task, cfg, restarts, seed):
@@ -278,18 +280,42 @@ def test_lockstep_traces_equal_solo_runs(name):
         assert np.array_equal(trace.best_point, solo.best_point)
 
 
-def test_lockstep_noisy_restarts_keep_their_own_streams():
-    # One task per restart: the batched draws of a simplex build must equal
-    # the draws of its points one after another.
-    def factory(restart):
-        return pc_task(evaluator=sampled_evaluator(NoiseConfig(shots=2000, seed=40 + restart)))
+def _noisy_task(name, seed):
+    evaluator = sampled_evaluator(NoiseConfig(shots=2000, seed=seed))
+    if name == "pc":
+        return pc_task(evaluator=evaluator)
+    return sd_task(*cloner.DEFAULT_SD_PAIRS[1], lam=1.0, evaluator=evaluator)
 
+
+def test_lockstep_noisy_restarts_keep_their_own_streams():
+    # One shared task: restart r draws from noise seed 40 + r, and the batched
+    # draws of a simplex build must equal the draws of its points one after another.
     cfg = NMConfig(max_evaluations=150)
-    _, traces = train(factory, cfg, restarts=2, seed=9)
+    _, traces = train(_noisy_task("pc", 40), cfg, restarts=2, seed=9)
     for r, trace in enumerate(traces):
         init = np.random.default_rng(9 + r).uniform(0, 2 * np.pi, 12)
-        solo = nelder_mead(factory(r).cost, init, dataclasses.replace(cfg, seed=9 + r))
+        solo = nelder_mead(_noisy_task("pc", 40 + r).cost, init, dataclasses.replace(cfg, seed=9 + r))
         assert trace.records == solo.records
+
+
+@pytest.mark.parametrize("name", ["pc", "sd"])
+def test_shared_noisy_train_equals_solo_runs_on_each_stream(name):
+    # A short stagnation window makes the restarts reboot; the budget is then
+    # set to run out inside restart 0's first reboot build, a step it shares
+    # with the other restarts.
+    seed, noise_seed = 4, 60
+    cfg = NMConfig(max_evaluations=400, stagnation_window=10, collapse_diameter=1.0)
+    probe = _solo_runs(_noisy_task(name, noise_seed), cfg, 1, seed)[0]
+    first_reboot = probe.reboot_evaluations()[0]
+    cfg = dataclasses.replace(cfg, max_evaluations=first_reboot + 5)  # 6 of its 13 rows
+    _, traces = train(_noisy_task(name, noise_seed), cfg, restarts=3, seed=seed)
+    assert traces[0].reboot_evaluations()[-1] == first_reboot
+    for r, trace in enumerate(traces):
+        (solo,) = _solo_runs(_noisy_task(name, noise_seed + r), cfg, 1, seed + r)
+        assert trace.records == solo.records
+        assert len(trace.records) == trace.n_evaluations == cfg.max_evaluations
+        assert (trace.n_iterations, trace.n_reboots, trace.best_cost) == (
+            solo.n_iterations, solo.n_reboots, solo.best_cost)
 
 
 def _steps(cost, init, cfg):
@@ -332,7 +358,7 @@ def test_non_finite_row_in_shared_batch_stops_only_its_restart():
     poisoned = np.random.default_rng(seed + 1).uniform(0, 2 * np.pi, 2)  # restart 1's first point
     batches = []
 
-    def costs(points):
+    def costs(points, restarts):
         batches.append(len(points))
         return [(float("nan") if np.array_equal(p, poisoned) else rosenbrock(p), {}) for p in points]
 

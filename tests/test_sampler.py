@@ -1,5 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vclone import cloner
 from vclone.cloner import QubitState, measurement_path_outcome, measurement_path_probabilities
@@ -7,6 +12,7 @@ from vclone.optimizer import NMConfig, nelder_mead, pc_task
 from vclone.sampler import (
     NoiseConfig,
     estimate_outcome,
+    estimate_outcomes,
     sample_counts,
     sampled_evaluator,
 )
@@ -112,6 +118,45 @@ def test_zero_coincidences_flagged_invalid():
     est = estimate_outcome([0, 0, 0, 0], shots=100)
     assert not est.valid
     assert est.f1 == est.f2 == est.p_post == 0.0
+
+
+_count_rows = st.lists(
+    st.one_of(st.just((0, 0, 0, 0)), st.tuples(*[st.integers(0, 3000)] * 4)), min_size=1, max_size=8
+)
+
+
+def _scalar_estimate(counts, shots):
+    """The estimator row by row in Python scalars: the reference for the array version."""
+    def err(p, n):
+        return math.sqrt(max(p * (1.0 - p), 0.0) / n) if n > 0 else 0.0
+
+    c00, c01, c10, c11 = counts
+    coinc = c00 + c01 + c10 + c11
+    f1, f2 = ((c00 + c01) / coinc, (c00 + c10) / coinc) if coinc else (0.0, 0.0)
+    p = coinc / shots
+    return (f1, f2, p, err(f1, coinc), err(f2, coinc), err(p, shots), coinc, shots, coinc > 0)
+
+
+_ESTIMATES = ("f1", "f2", "p_post", "f1_err", "f2_err", "p_err", "n_coincidences", "shots", "valid")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_count_rows, st.integers(0, 5000))
+def test_array_estimator_equals_estimate_outcome(rows, rejected):
+    shots = max(sum(row) for row in rows) + rejected or 1
+    batch = estimate_outcomes(np.array(rows), shots)
+    for i, row in enumerate(rows):
+        one = estimate_outcome(row, shots)
+        values = tuple(getattr(one, k) for k in _ESTIMATES)
+        assert values == _scalar_estimate(row, shots)
+        assert tuple(np.broadcast_to(getattr(batch, k), len(rows))[i] for k in _ESTIMATES) == values
+        assert [type(getattr(one, f.name)) for f in dataclasses.fields(one)] == [
+            float, float, float, int, int, bool]
+
+
+def test_array_estimator_rejects_wrong_pattern_count():
+    with pytest.raises(ValueError):
+        estimate_outcomes(np.zeros((2, 3), dtype=int), 100)
 
 
 def test_estimator_fractions():

@@ -1,8 +1,10 @@
 """Experiment runner: configure, train, validate, report, and self-check.
 
-All result files are plain structured text (CSV and line-delimited JSON)
-so downstream plotting stays tool-agnostic.  Angles in configs are always
-radians; a config declaring any other unit is rejected.
+Result files are CSV and JSON.  Each restart's trace is JSON Lines too:
+a header line, then one line per per-evaluation column holding its dtype,
+shape and base64-encoded little-endian bytes (trace schema v2; ``report``
+also reads the v1 files with one JSON record per evaluation).  Angles in
+configs are always radians; a config declaring any other unit is rejected.
 """
 
 from __future__ import annotations
@@ -150,6 +152,12 @@ def nm_from_config(config: dict) -> optimizer.NMConfig:
     return optimizer.NMConfig(**config.get("nm", {}), seed=config["seed"])
 
 
+def _non_negative(name: str, value: int) -> int:
+    if value < 0:
+        raise ConfigError(f"invalid {name}: expected a non-negative integer, got {value}")
+    return value
+
+
 def _field(name: str, build, *args):
     """Call ``build(*args)``, reporting a bad value as a ConfigError naming the field."""
     try:
@@ -220,7 +228,9 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
     """Run a training task and persist traces, summary, and best parameters."""
     config, _ = load_config(config_path)
     if seed is not None:
-        config["seed"] = seed
+        config["seed"] = _non_negative("--seed", seed)
+    _non_negative("seed", config["seed"])
+    _non_negative("noise.seed", config.get("noise", {}).get("seed", 0))
     if shots is not None:
         shots_value = "exact" if shots == "exact" else _field("--shots", int, shots)
         config.setdefault("noise", {})["shots"] = shots_value
@@ -385,26 +395,19 @@ def cmd_report(run_dir: Path) -> None:
     report_dir = run_dir / "report"
     report_dir.mkdir(exist_ok=True)
 
-    cost_rows = []
-    fid_rows = []
-    best_cost = float("inf")
-    best_f1 = best_f2 = float("nan")
-    for rec in best.records:
-        states = list(rec.extras.values())
-        if states:
-            f1 = float(np.mean([s["f1"] for s in states]))
-            f2 = float(np.mean([s["f2"] for s in states]))
-        if rec.cost <= best_cost:
-            best_cost = rec.cost
-            if states:
-                best_f1, best_f2 = f1, f2
-        cost_rows.append(
-            (rec.evaluation, rec.iteration, f"{rec.cost:.12f}", f"{best_cost:.12f}", int(rec.reboot))
-        )
-        if states:
+    cost_rows, fid_rows = [], []
+    best_cost, best_row = float("inf"), None
+    if best.outcomes is not None:
+        f1s, f2s = (best.outcomes[:, :, k].mean(axis=1).tolist() for k in (0, 1))
+    columns = zip(best.iterations.tolist(), best.costs.tolist(), best.reboots.tolist())
+    for i, (iteration, cost, reboot) in enumerate(columns):
+        if cost <= best_cost:
+            best_cost, best_row = cost, i
+        cost_rows.append((i + 1, iteration, f"{cost:.12f}", f"{best_cost:.12f}", int(reboot)))
+        if best.outcomes is not None:
             fid_rows.append(
-                (rec.evaluation, rec.iteration, f"{f1:.12f}", f"{f2:.12f}",
-                 f"{best_f1:.12f}", f"{best_f2:.12f}", int(rec.reboot))
+                (i + 1, iteration, f"{f1s[i]:.12f}", f"{f2s[i]:.12f}",
+                 f"{f1s[best_row]:.12f}", f"{f2s[best_row]:.12f}", int(reboot))
             )
 
     cost_path = report_dir / "cost_series.csv"

@@ -34,9 +34,6 @@ OPTIMAL_EQUATORIAL_FIDELITY = 0.5 + 1.0 / math.sqrt(8.0)
 #: Average fidelity of the best measure-and-prepare strategy on the equator.
 SEMICLASSICAL_FIDELITY = 0.750
 
-#: Upper bound on simultaneous symmetric cloning fidelity for arbitrary qubits.
-UNIVERSAL_BOUND = 5.0 / 6.0
-
 #: Bloch phases of the four equatorial training states (X and Y eigenstates).
 TRAINING_PHASES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 
@@ -240,12 +237,12 @@ def clone_outcomes(
     states: list[QubitState],
     spec: MeshSpec | None = None,
     rails: RailMap = DEFAULT_RAILS,
-) -> list[CloningOutcome]:
+) -> np.ndarray:
     """Closed-form outcome of each state at phase vectors (..., n_phases), from one mesh build.
 
-    Outcomes cover the (..., S) grid of (phase vector, state) pairs, row-major.  P_post =
-    sum |A|^2; F_i projects clone i's index of A onto <psi|.  Equals ``run_cloner`` to
-    rounding, zero support (all zeros) included.
+    Returns a (..., S, 3) array: (F1, F2, P_post) of each (phase vector, state) pair.
+    P_post = sum |A|^2; F_i projects clone i's index of A onto <psi|.  Equals
+    ``run_cloner`` to rounding, zero support (all zeros) included.
     """
     kets = StateStack(states).kets
     amps = _coincidence_amplitudes(build_mesh(four_mode_spec(spec), params), kets, rails)
@@ -253,8 +250,7 @@ def clone_outcomes(
     p_post = (np.abs(amps) ** 2).sum(axis=(-2, -1))
     weight1 = (np.abs(bra[:, 0] * amps[..., 0, :] + bra[:, 1] * amps[..., 1, :]) ** 2).sum(axis=-1)
     weight2 = (np.abs(bra[:, 0] * amps[..., :, 0] + bra[:, 1] * amps[..., :, 1]) ** 2).sum(axis=-1)
-    f1, f2, p = (x.ravel().tolist() for x in _outcome(p_post, weight1, weight2))
-    return [CloningOutcome(*out) for out in zip(f1, f2, p)]
+    return np.stack(_outcome(p_post, weight1, weight2), axis=-1)
 
 
 def run_cloner(

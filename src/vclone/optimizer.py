@@ -11,9 +11,11 @@ so wrapping never changes its value.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,16 +25,19 @@ from .cloner import QubitState, RailMap, DEFAULT_RAILS, _symmetric_terms, clone_
 from .cloner import run_cloner  # noqa: F401  the oracle, patched here by perfbench/spans.py
 from .mesh import MeshSpec
 
-TRACE_SCHEMA_VERSION = 1
+#: Version 2: a JSON header line, then one JSON line per column.  Version 1,
+#: one JSON record per evaluation, is still read.
+TRACE_SCHEMA_VERSION = 2
 
 #: Simplex diameter below which the search is considered converged.
 CONVERGENCE_DIAMETER = 1e-8
 
-CostFn = Callable[[np.ndarray], "float | tuple[float, dict]"]
-#: (params, states, restarts=None) -> outcomes of each (phase vector, state) pair, row-major,
+#: A scalar cost: a float, or (float, (S, 3) outcomes or None) as ``Task.cost`` gives.
+CostFn = Callable[[np.ndarray], "float | tuple[float, np.ndarray | None]"]
+#: (params, states, restarts=None) -> (..., S, 3) outcomes of each (phase vector, state) pair,
 #: shaped like ``clone_outcomes``; ``restarts`` names the restart that asked for each phase
 #: vector (None: all restart 0).
-Evaluator = Callable[..., list[cloner.CloningOutcome]]
+Evaluator = Callable[..., np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,8 @@ class NMConfig:
 
 @dataclass
 class TraceRecord:
-    """One cost evaluation: where, what it cost, and the running best."""
+    """One cost evaluation as ``OptimizationTrace.records`` shows it: where, what it
+    cost, the running best, and each state's fidelities in ``extras``."""
 
     evaluation: int
     iteration: int
@@ -79,11 +85,28 @@ class TraceRecord:
     extras: dict = field(default_factory=dict)
 
 
+#: The per-evaluation columns, in file order; ``outcomes`` only for a run with states.
+COLUMNS = ("points", "costs", "best_costs", "iterations", "reboots", "outcomes")
+
+
 @dataclass
 class OptimizationTrace:
-    """Complete record of one optimization run."""
+    """Complete record of one optimization run, one row per recorded evaluation.
 
-    records: list[TraceRecord] = field(default_factory=list)
+    Row i is evaluation i + 1: its point in ``points`` (E, d), its cost, the running
+    best, the iteration it belongs to and whether it starts a reboot.  A run with
+    labelled ``states`` has their (F1, F2, P_post) in ``outcomes`` (E, S, 3), else
+    ``outcomes`` is None.  A run stopped by a non-finite cost counts that evaluation
+    in ``n_evaluations`` but has no row for it.
+    """
+
+    points: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    costs: np.ndarray = field(default_factory=lambda: np.empty(0))
+    best_costs: np.ndarray = field(default_factory=lambda: np.empty(0))
+    iterations: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    reboots: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
+    outcomes: np.ndarray | None = None
+    states: tuple[str, ...] = ()
     best_point: np.ndarray | None = None
     best_cost: float = math.inf
     n_iterations: int = 0
@@ -92,40 +115,59 @@ class OptimizationTrace:
     seed: int | None = None
     error: str | None = None
 
-    def best_cost_series(self) -> np.ndarray:
-        return np.array([r.best_cost for r in self.records])
+    @property
+    def records(self) -> list[TraceRecord]:
+        """The rows as records, built from the columns on each access, for readers of the
+        per-evaluation form; training, writing and ``report`` use the columns."""
+        outcomes = self.outcomes.tolist() if self.outcomes is not None else [()] * len(self.costs)
+        rows = zip(self.iterations.tolist(), self.points.tolist(), self.costs.tolist(),
+                   self.best_costs.tolist(), self.reboots.tolist(), outcomes)
+        return [
+            TraceRecord(i + 1, iteration, point, cost, best, reboot,
+                        {k: {"f1": f1, "f2": f2, "p": p} for k, (f1, f2, p) in zip(self.states, states)})
+            for i, (iteration, point, cost, best, reboot, states) in enumerate(rows)
+        ]
 
     def reboot_evaluations(self) -> list[int]:
-        return [r.evaluation for r in self.records if r.reboot]
+        return (np.flatnonzero(self.reboots) + 1).tolist()
 
     def to_jsonl(self, path) -> None:
+        """Write schema v2: a JSON header line, then one JSON line per column giving its
+        ``name``, ``dtype``, ``shape`` and the base64 of its little-endian bytes."""
+        header = {
+            "schema_version": TRACE_SCHEMA_VERSION,
+            "best_point": None if self.best_point is None else self.best_point.tolist(),
+            "best_cost": self.best_cost,
+            "n_iterations": self.n_iterations,
+            "n_evaluations": self.n_evaluations,
+            "n_reboots": self.n_reboots,
+            "seed": self.seed,
+            "error": self.error,
+            "states": list(self.states),
+        }
         with open(path, "w") as fh:
-            header = {
-                "schema_version": TRACE_SCHEMA_VERSION,
-                "best_point": None if self.best_point is None else list(self.best_point),
-                "best_cost": self.best_cost,
-                "n_iterations": self.n_iterations,
-                "n_evaluations": self.n_evaluations,
-                "n_reboots": self.n_reboots,
-                "seed": self.seed,
-                "error": self.error,
-            }
             fh.write(json.dumps(header) + "\n")
-            for rec in self.records:
-                fh.write(json.dumps(vars(rec)) + "\n")
+            for name in COLUMNS:
+                column = getattr(self, name)
+                if column is None:
+                    continue
+                column = np.ascontiguousarray(column, dtype=column.dtype.newbyteorder("<"))
+                data = base64.b64encode(column.tobytes()).decode("ascii")
+                line = {"name": name, "dtype": column.dtype.str, "shape": column.shape, "data": data}
+                fh.write(json.dumps(line) + "\n")
 
     @classmethod
     def from_jsonl(cls, path) -> "OptimizationTrace":
+        """Read a trace of schema v2, or of v1 (a header line, then one record per evaluation)."""
         with open(path) as fh:
             header = json.loads(fh.readline())
             version = header.get("schema_version") if isinstance(header, dict) else None
-            if version != TRACE_SCHEMA_VERSION:
+            if version not in (1, TRACE_SCHEMA_VERSION):
                 raise ValueError(f"unsupported trace schema {version!r}")
-            records = [TraceRecord(**json.loads(line)) for line in fh if line.strip()]
+            lines = [json.loads(line) for line in fh if line.strip()]
         best_point = header["best_point"]
-        return cls(
-            records=records,
-            best_point=None if best_point is None else np.array(best_point),
+        trace = cls(
+            best_point=None if best_point is None else np.array(best_point, dtype=float),
             best_cost=header["best_cost"],
             n_iterations=header["n_iterations"],
             n_evaluations=header["n_evaluations"],
@@ -133,6 +175,40 @@ class OptimizationTrace:
             seed=header.get("seed"),
             error=header.get("error"),
         )
+        if version == 1:
+            _set_v1_columns(trace, lines)
+            return trace
+        trace.states = tuple(header["states"])
+        columns = {line["name"]: line for line in lines}
+        required = COLUMNS if trace.states else COLUMNS[:-1]
+        if sorted(columns) != sorted(required):
+            raise ValueError(f"expected columns {list(required)}, got {list(columns)}")
+        for name, line in columns.items():
+            raw = base64.b64decode(line["data"], validate=True)
+            setattr(trace, name, np.frombuffer(raw, dtype=np.dtype(line["dtype"])).reshape(line["shape"]))
+        rows = {len(getattr(trace, name)) for name in required}
+        if len(rows) > 1:
+            raise ValueError(f"columns of unequal lengths {sorted(rows)}")
+        return trace
+
+
+def _set_v1_columns(trace: OptimizationTrace, records: list[dict]) -> None:
+    """Fill the columns of ``trace`` from the records of a v1 file."""
+    n = len(records)
+    if [r["evaluation"] for r in records] != list(range(1, n + 1)):
+        raise ValueError("v1 records do not number the evaluations 1, 2, ...")
+    dim = 0 if trace.best_point is None else len(trace.best_point)
+    trace.points = np.array([r["point"] for r in records], dtype=float).reshape(n, dim)
+    trace.costs = np.array([r["cost"] for r in records], dtype=float)
+    trace.best_costs = np.array([r["best_cost"] for r in records], dtype=float)
+    trace.iterations = np.array([r["iteration"] for r in records], dtype=np.int64)
+    trace.reboots = np.array([r["reboot"] for r in records], dtype=bool)
+    trace.states = tuple(records[0]["extras"]) if records else ()
+    if any(tuple(r["extras"]) != trace.states for r in records):
+        raise ValueError("v1 records label their states differently")
+    if trace.states:
+        trace.outcomes = np.array(
+            [[(s["f1"], s["f2"], s["p"]) for s in r["extras"].values()] for r in records], dtype=float)
 
 
 def _simplex_diameter(simplex: np.ndarray) -> float:
@@ -151,40 +227,47 @@ class NelderMead:
     """Nelder-Mead from ``init`` as an ask-tell state machine recording every evaluation.
 
     ``ask()`` gives the (k, d) points to evaluate next: d+1 for a simplex (re)build, d for
-    a shrink, 1 otherwise, cut to the budget left.  ``tell(results)`` takes their costs in
-    order, each a float or (float, extras-dict).  Ties in the simplex order break toward
-    the lowest vertex (stable sort), so runs are deterministic.  ``done`` is set when the
-    run is over; a non-finite cost ends it with a diagnostic on the trace.
+    a shrink, 1 otherwise, cut to the budget left.  ``tell(costs, outcomes)`` takes their
+    k costs in order and, for a run with ``states``, their (k, S, 3) outcomes.  Ties in
+    the simplex order break toward the lowest vertex (stable sort), so runs are
+    deterministic.  ``done`` is set when the run is over, and the trace's columns are
+    filled in then; a non-finite cost ends it with a diagnostic on the trace.
     """
 
-    def __init__(self, init: Sequence[float], cfg: NMConfig) -> None:
+    def __init__(self, init: Sequence[float], cfg: NMConfig, states: Sequence[str] = ()) -> None:
         self.init, self.cfg = np.asarray(init, dtype=float), cfg
-        self.trace = OptimizationTrace(seed=cfg.seed)
+        self.trace = OptimizationTrace(
+            points=np.empty((0, len(self.init))), states=tuple(states), seed=cfg.seed,
+            outcomes=np.empty((0, len(states), 3)) if states else None)
         self.done = self._reboot = False
+        self._blocks: list[tuple] = []  # (points, costs, best costs, iteration, reboot, outcomes)
         self._search = self._steps()
         self._ask(next(self._search))
 
     def ask(self) -> np.ndarray:
         return self._asked
 
-    def tell(self, results: Sequence["float | tuple[float, dict]"]) -> None:
-        trace, values = self.trace, []
-        for point, result in zip(self._asked, results):
-            value, extras = result if isinstance(result, tuple) else (result, {})
-            value = float(value)
-            trace.n_evaluations += 1
+    def tell(self, costs: Sequence[float] | np.ndarray, outcomes: np.ndarray | None = None) -> None:
+        trace, points = self.trace, self._asked
+        values = np.asarray(costs, dtype=float).tolist()
+        best, best_row, running = trace.best_cost, None, []
+        for i, value in enumerate(values):
             if not math.isfinite(value):
-                trace.error = f"non-finite cost {value} at {point}"
-                return self._finish()
-            if value < trace.best_cost:
-                trace.best_cost, trace.best_point = value, point.copy()
-            trace.records.append(TraceRecord(
-                trace.n_evaluations, trace.n_iterations, point.tolist(),
-                value, trace.best_cost, self._reboot, extras,
-            ))
+                trace.error = f"non-finite cost {value} at {points[i]}"
+                values = values[:i]
+                break
+            if value < best:
+                best, best_row = value, i
+            running.append(best)
+        if best_row is not None:
+            trace.best_cost, trace.best_point = best, points[best_row].copy()
+        if k := len(running):
+            # Copied: the search moves the simplex it asked from in place.
+            self._blocks.append((points[:k].copy(), values, running, trace.n_iterations, self._reboot,
+                                 None if trace.outcomes is None else np.array(outcomes[:k], dtype=float)))
             self._reboot = False
-            values.append(value)
-        if self._cut:
+        trace.n_evaluations += k + (trace.error is not None)
+        if trace.error is not None or self._cut:
             return self._finish()
         try:
             self._ask(self._search.send(np.array(values)))
@@ -200,8 +283,21 @@ class NelderMead:
     def _finish(self) -> None:
         self.done = True
         self._search.close()
-        if self.trace.best_point is None:
-            self.trace.best_point = self.init.copy()
+        trace = self.trace
+        if trace.best_point is None:
+            trace.best_point = self.init.copy()
+        if not self._blocks:
+            return
+        points, costs, best, iterations, reboots, outcomes = zip(*self._blocks)
+        sizes = [len(block) for block in costs]
+        trace.points = np.concatenate(points)
+        trace.costs = np.array(list(chain.from_iterable(costs)))
+        trace.best_costs = np.array(list(chain.from_iterable(best)))
+        trace.iterations = np.repeat(np.array(iterations, dtype=np.int64), sizes)
+        trace.reboots = np.zeros(len(trace.costs), dtype=bool)
+        trace.reboots[np.cumsum([0, *sizes[:-1]])] = reboots
+        if trace.outcomes is not None:
+            trace.outcomes = np.concatenate(outcomes)
 
     def _steps(self):
         """The search as a generator: yields the points it needs, receives their costs."""
@@ -266,28 +362,35 @@ class NelderMead:
             best_history.append(trace.best_cost)
 
 
-def nelder_mead(cost: CostFn, init: Sequence[float], cfg: NMConfig) -> OptimizationTrace:
-    """Minimize ``cost`` (a float or (float, extras-dict) per point) from ``init``,
-    evaluating the points of one ``NelderMead`` run one by one, in order."""
-    search = NelderMead(init, cfg)
+def nelder_mead(cost: CostFn, init: Sequence[float], cfg: NMConfig,
+                states: Sequence[str] = ()) -> OptimizationTrace:
+    """Minimize ``cost`` from ``init``, evaluating the points of one ``NelderMead`` run
+    one by one, in order.  ``cost`` returns a float or, as ``Task.cost`` does, (float,
+    outcomes); the (S, 3) outcomes are recorded when ``states`` labels them."""
+    search = NelderMead(init, cfg, states)
     while not search.done:
-        search.tell([cost(point) for point in search.ask()])
+        results = [cost(point) for point in search.ask()]
+        values, outcomes = zip(*(r if isinstance(r, tuple) else (r, None) for r in results))
+        search.tell(values, np.array(outcomes) if states else None)
     return search.trace
 
 
 @dataclass(frozen=True)
 class Task:
     """A trainable objective over a phase vector of given size: ``costs(points, restarts)``
-    maps (B, dim) points, asked for by the restarts named row by row, to their B
-    (float, extras-dict) results, and ``cost`` is its batch of one.  A stateful
-    cost, such as a sampled one, keeps one stream per restart; others ignore it."""
+    maps (B, dim) points, asked for by the restarts named row by row, to their (B,)
+    costs and the (B, S, 3) outcomes of the labelled ``states`` (None without states),
+    and ``cost`` is its batch of one.  A stateful cost, such as a sampled one, keeps
+    one stream per restart; others ignore it."""
 
     name: str
     dim: int
-    costs: Callable[[np.ndarray, Sequence[int]], list[tuple[float, dict]]]
+    costs: Callable[[np.ndarray, Sequence[int]], tuple[np.ndarray, np.ndarray | None]]
+    states: tuple[str, ...] = ()
 
-    def cost(self, point: np.ndarray, restart: int = 0) -> tuple[float, dict]:
-        return self.costs(np.asarray(point, dtype=float)[None], [restart])[0]
+    def cost(self, point: np.ndarray, restart: int = 0) -> tuple[float, np.ndarray | None]:
+        costs, outcomes = self.costs(np.asarray(point, dtype=float)[None], [restart])
+        return float(costs[0]), None if outcomes is None else outcomes[0]
 
 
 def _cloning_task(name: str, states: dict[str, QubitState], lam: float | None,
@@ -297,24 +400,24 @@ def _cloning_task(name: str, states: dict[str, QubitState], lam: float | None,
     evaluator call (default: the exact kernel) covers every point and state.
     """
     spec = cloner.four_mode_spec(spec)
-    labels, kets = list(states), cloner.StateStack(states.values())
+    kets = cloner.StateStack(states.values())
     evaluate = evaluator or (
         lambda params, states, restarts=None: clone_outcomes(params, states, spec=spec, rails=rails))
 
-    def costs(points: np.ndarray, restarts: Sequence[int]) -> list[tuple[float, dict]]:
-        outs, n = evaluate(points, kets, restarts), len(kets)
-        results = []
-        for row in (outs[i : i + n] for i in range(0, n * len(points), n)):
+    def costs(points: np.ndarray, restarts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        outs = evaluate(points, kets, restarts)
+        totals = []
+        # Python floats row by row: the ** of _symmetric_terms rounds unlike numpy's square.
+        for row in outs.tolist():
             total = 0.0
-            for out in row:
-                total += _symmetric_terms(out.f1, out.f2)
+            for f1, f2, _ in row:
+                total += _symmetric_terms(f1, f2)
             if lam is not None:
-                total += lam * _symmetric_terms(row[0].p_post, row[1].p_post)
-            extras = {k: {"f1": o.f1, "f2": o.f2, "p": o.p_post} for k, o in zip(labels, row)}
-            results.append((total, extras))
-        return results
+                total += lam * _symmetric_terms(row[0][2], row[1][2])
+            totals.append(total)
+        return np.array(totals), outs
 
-    return Task(name=name, dim=spec.n_phases, costs=costs)
+    return Task(name=name, dim=spec.n_phases, costs=costs, states=tuple(states))
 
 
 def pc_task(
@@ -365,15 +468,18 @@ def train(
     base_seed = cfg.seed if seed is None else seed
     searches = [
         NelderMead(np.random.default_rng(base_seed + r).uniform(0.0, 2.0 * math.pi, task.dim),
-                   replace(cfg, seed=base_seed + r))
+                   replace(cfg, seed=base_seed + r), task.states)
         for r in range(restarts)
     ]
     while live := [r for r, search in enumerate(searches) if not search.done]:
         asked = [searches[r].ask() for r in live]
         owners = [r for r, points in zip(live, asked) for _ in points]
-        results = iter(task.costs(np.concatenate(asked), owners))
+        costs, outcomes = task.costs(np.concatenate(asked), owners)
+        start = 0
         for r, points in zip(live, asked):
-            searches[r].tell([next(results) for _ in points])
+            rows = slice(start, start + len(points))
+            searches[r].tell(costs[rows], None if outcomes is None else outcomes[rows])
+            start = rows.stop
     traces = [search.trace for search in searches]
     return min(traces, key=lambda t: t.best_cost), traces
 
@@ -394,4 +500,4 @@ def validate_sweep(
     states = [QubitState.equatorial(phi) for phi in phis]
     params = np.asarray(params, dtype=float)
     outs = evaluator(params, states) if evaluator else clone_outcomes(params, states, spec, rails)
-    return [(phi, out.f1, out.f2, out.p_post) for phi, out in zip(phis, outs)]
+    return [(phi, f1, f2, p) for phi, (f1, f2, p) in zip(phis, np.asarray(outs).tolist())]

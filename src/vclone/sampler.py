@@ -12,11 +12,11 @@ are estimated from conditional counts as on the device, for all rows at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cloner import CloningOutcome, QubitState, RailMap, DEFAULT_RAILS, clone_outcomes, four_mode_spec
+from .cloner import QubitState, RailMap, DEFAULT_RAILS, clone_outcomes, four_mode_spec
 from .cloner import measurement_path_probabilities
 from .mesh import MeshSpec
 
@@ -36,13 +36,17 @@ class NoiseConfig:
 def sample_counts(
     probabilities: np.ndarray | list[float],
     shots: int,
-    rng: np.random.Generator | int,
+    rng: np.random.Generator | int | Mapping[int, np.random.Generator],
+    owners: np.ndarray | None = None,
 ) -> np.ndarray:
     """Multinomial counts over accepted patterns for N total trials per row.
 
     ``probabilities`` is (..., k), accepted-pattern probabilities per row; a
     row's remainder to 1 is its rejected bin, whose count is not returned.
-    One generator call draws every row, as drawing the rows in turn would.
+    The rows are checked and normalised once.  Without ``owners`` one call on
+    ``rng`` draws every row, as drawing the rows in turn would.  ``owners``
+    names the generator of each leading row: the rows of owner r are drawn, in
+    order, in one call on ``rng[r]``.
     """
     p = np.asarray(probabilities, dtype=float)
     if (p < -1e-12).any():
@@ -51,11 +55,16 @@ def sample_counts(
     total = p.sum(axis=-1, keepdims=True)
     if (total > 1.0 + 1e-9).any():
         raise ValueError(f"probabilities sum to {total.max()} > 1")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     full = np.concatenate([p, np.maximum(1.0 - total, 0.0)], axis=-1)
     full /= full.sum(axis=-1, keepdims=True)
-    counts = rng.multinomial(shots, full)
+    if owners is None:
+        if isinstance(rng, (int, np.integer)):
+            rng = np.random.default_rng(int(rng))
+        return rng.multinomial(shots, full)[..., :-1]
+    counts = np.empty(full.shape, dtype=np.int64)
+    for r in dict.fromkeys(owners.tolist()):
+        rows = owners == r
+        counts[rows] = rng[r].multinomial(shots, full[rows])
     return counts[..., :-1]
 
 
@@ -125,8 +134,8 @@ def sampled_evaluator(
     noise: NoiseConfig,
     spec: MeshSpec | None = None,
     rails: RailMap = DEFAULT_RAILS,
-) -> Callable[..., list[CloningOutcome]]:
-    """Evaluator (params, states, restarts=None) -> outcomes of each (phase vector, state), row-major.
+) -> Callable[..., np.ndarray]:
+    """Evaluator (params, states, restarts=None) -> (..., S, 3) outcomes, shaped like ``clone_outcomes``.
 
     ``restarts`` names the restart that asked for each phase vector (None: all
     restart 0).  Exact mode (shots=None) ignores it and calls the kernel,
@@ -143,18 +152,13 @@ def sampled_evaluator(
     shots, rngs = noise.shots, {}
 
     def evaluate(params: np.ndarray, states: Sequence[QubitState],
-                 restarts: Sequence[int] | None = None) -> list[CloningOutcome]:
+                 restarts: Sequence[int] | None = None) -> np.ndarray:
         probs = measurement_path_probabilities(params, states, spec, rails)
-        probs = probs.reshape(-1, *probs.shape[-2:])
-        owners = np.zeros(len(probs), dtype=int) if restarts is None else np.asarray(restarts)
-        counts = np.empty(probs.shape, dtype=np.int64)
-        for r in dict.fromkeys(owners.tolist()):
-            if r not in rngs:
-                rngs[r] = np.random.default_rng(noise.seed + r)
-            rows = owners == r
-            counts[rows] = sample_counts(probs[rows], shots, rngs[r])
-        est = estimate_outcomes(counts, shots)
-        return list(map(CloningOutcome, est.f1.ravel().tolist(), est.f2.ravel().tolist(),
-                        est.p_post.ravel().tolist()))
+        rows = probs.reshape(-1, *probs.shape[-2:])
+        owners = np.zeros(len(rows), dtype=int) if restarts is None else np.asarray(restarts)
+        for r in set(owners.tolist()) - rngs.keys():
+            rngs[r] = np.random.default_rng(noise.seed + r)
+        est = estimate_outcomes(sample_counts(rows, shots, rngs, owners), shots)
+        return np.stack([est.f1, est.f2, est.p_post], axis=-1).reshape(*probs.shape[:-1], 3)
 
     return evaluate

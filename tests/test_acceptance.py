@@ -241,9 +241,9 @@ def test_criterion_10_shot_noise(record):
     f1s, f2s = [], []
     for seed in range(reps):
         evaluate = sampler.sampled_evaluator(sampler.NoiseConfig(shots=10_000, seed=seed))
-        out = evaluate(params, [psi])[0]
-        f1s.append(out.f1)
-        f2s.append(out.f2)
+        f1, f2, _ = evaluate(params, [psi])[0]
+        f1s.append(f1)
+        f2s.append(f2)
     unbiased = True
     for values, truth in ((f1s, exact.f1), (f2s, exact.f2)):
         sem = np.std(values, ddof=1) / math.sqrt(reps)

@@ -1,5 +1,7 @@
 import csv
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,12 @@ from click.testing import CliRunner
 
 from vclone import cloner
 from vclone.cli import load_config, main
+from vclone.optimizer import OptimizationTrace
+
+#: A run directory's traces as written before trace schema v2 (one JSON record
+#: per evaluation), by ``vclone train`` on its config.json, with the
+#: ``vclone report`` tables they gave then.
+V1_RUN = Path(__file__).parent / "data" / "trace_v1"
 
 
 @pytest.fixture
@@ -81,6 +89,9 @@ FIVE_MODE_MESH = {"mode_count": 5, "cells": [{"modes": [0, 1]}, {"modes": [3, 4]
         ({"nm": {"initial_edge": -1}}, [], "nm"),
         ({"mesh": FIVE_MODE_MESH}, [], "mesh"),
         ({"mesh": {"mode_count": 4, "cells": [{"modes": 1}]}}, [], "mesh"),
+        ({"seed": -3}, [], "seed"),
+        ({"noise": {"shots": 200, "seed": -1}}, [], "noise.seed"),
+        ({}, ["--seed", "-2"], "--seed"),
     ],
 )
 def test_train_bad_input_fails_before_run_dir(tmp_path, runner, overrides, args, field):
@@ -308,15 +319,14 @@ def test_report_rejects_unreadable_trace(tmp_path, runner, header):
 
 
 def test_report_prints_aborted_restart(tmp_path, runner):
-    from vclone.optimizer import OptimizationTrace, TraceRecord
-
     traces = tmp_path / "run" / "traces"
     traces.mkdir(parents=True)
-    record = TraceRecord(evaluation=1, iteration=0, point=[0.0] * 12, cost=1.5, best_cost=1.5)
     error = "non-finite cost nan at [0. 0.]"
     for r, err in enumerate((None, error)):
-        trace = OptimizationTrace(records=[record], best_point=np.zeros(12), best_cost=1.5,
-                                  n_evaluations=1 + (err is not None), error=err)
+        trace = OptimizationTrace(points=np.zeros((1, 12)), costs=np.array([1.5]),
+                                  best_costs=np.array([1.5]), iterations=np.zeros(1, dtype=np.int64),
+                                  reboots=np.zeros(1, dtype=bool), best_point=np.zeros(12),
+                                  best_cost=1.5, n_evaluations=1 + (err is not None), error=err)
         trace.to_jsonl(traces / f"restart_{r:03d}.jsonl")
     result = runner.invoke(main, ["report", "--run", str(tmp_path / "run")])
     assert result.exit_code == 0, result.output
@@ -327,12 +337,53 @@ def test_report_prints_aborted_restart(tmp_path, runner):
 def test_train_prints_aborted_restart(tmp_path, runner, monkeypatch):
     from vclone import sampler
 
-    nan = cloner.CloningOutcome(f1=float("nan"), f2=float("nan"), p_post=float("nan"))
-    monkeypatch.setattr(sampler, "clone_outcomes", lambda params, states, **kw: [nan] * len(states))
+    monkeypatch.setattr(sampler, "clone_outcomes",
+                        lambda params, states, **kw: np.full((len(params), len(states), 3), np.nan))
     path = write_config(tmp_path / "cfg.json", restarts=1)
     result = runner.invoke(main, ["train", "--config", str(path), "--out", str(tmp_path / "run")])
     assert result.exit_code == 0, result.output
     assert "restart 000 aborted: non-finite cost nan" in result.output
+
+
+def _report_tables(runner, run_dir):
+    result = runner.invoke(main, ["report", "--run", str(run_dir)])
+    assert result.exit_code == 0, result.output
+    return [(run_dir / "report" / name).read_bytes() for name in ("cost_series.csv", "fidelity_series.csv")]
+
+
+def test_report_reads_v1_and_v2_traces_alike(tmp_path, runner):
+    v1, v2 = tmp_path / "v1", tmp_path / "v2"
+    shutil.copytree(V1_RUN / "traces", v1 / "traces")
+    (v2 / "traces").mkdir(parents=True)
+    for path in sorted((v1 / "traces").glob("restart_*.jsonl")):
+        assert json.loads(path.open().readline())["schema_version"] == 1
+        OptimizationTrace.from_jsonl(path).to_jsonl(v2 / "traces" / path.name)
+        assert json.loads((v2 / "traces" / path.name).open().readline())["schema_version"] == 2
+    expected = [(V1_RUN / "expected_report" / name).read_bytes()
+                for name in ("cost_series.csv", "fidelity_series.csv")]
+    assert _report_tables(runner, v1) == _report_tables(runner, v2) == expected
+
+
+def test_train_reproduces_the_v1_traces(tmp_path, runner):
+    # The same config trained now gives the committed v1 traces' rows: the
+    # columnar trace keeps the evaluation order, iterations and reboot rows.
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(V1_RUN / "config.json"), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    for old_path in sorted((V1_RUN / "traces").glob("restart_*.jsonl")):
+        old, new = (OptimizationTrace.from_jsonl(p) for p in (old_path, out / "traces" / old_path.name))
+        assert new.states == old.states and new.n_evaluations == old.n_evaluations
+        assert np.array_equal(new.iterations, old.iterations) and np.array_equal(new.reboots, old.reboots)
+        for name in ("points", "costs", "best_costs", "outcomes"):
+            assert np.allclose(getattr(new, name), getattr(old, name), rtol=0, atol=1e-12), name
+
+
+def test_v1_trace_reads_into_columns():
+    trace = OptimizationTrace.from_jsonl(V1_RUN / "traces" / "restart_000.jsonl")
+    records = [json.loads(line) for line in (V1_RUN / "traces" / "restart_000.jsonl").open()][1:]
+    assert trace.n_evaluations == len(trace.costs) == len(records) == 40
+    assert trace.points.shape == (40, 12) and trace.outcomes.shape == (40, 4, 3)
+    assert [vars(r) for r in trace.records] == records
 
 
 # -------------------------------------------------------------------- oracle

@@ -232,7 +232,7 @@ def test_cost_pc_five_sixths_arithmetic():
     # Hypothetical F1 = F2 = 5/6 on every training state: 4 * 2 * (1/6)^2.
     from vclone.optimizer import pc_task
 
-    stub = lambda params, states, restarts: [CloningOutcome(f1=5 / 6, f2=5 / 6, p_post=1.0) for _ in states]
+    stub = lambda params, states, restarts: np.tile([5 / 6, 5 / 6, 1.0], (len(params), len(states), 1))
     cost, _ = pc_task(evaluator=stub).cost(np.zeros(12))
     assert cost == pytest.approx(2 / 9, abs=1e-14)
 
@@ -240,7 +240,7 @@ def test_cost_pc_five_sixths_arithmetic():
 def test_cost_pc_all_perfect_is_zero():
     from vclone.optimizer import pc_task
 
-    stub = lambda params, states, restarts: [CloningOutcome(f1=1.0, f2=1.0, p_post=1.0) for _ in states]
+    stub = lambda params, states, restarts: np.ones((len(params), len(states), 3))
     cost, _ = pc_task(evaluator=stub).cost(np.zeros(12))
     assert cost == 0.0
 

@@ -78,11 +78,11 @@ def _assert_outcomes_close(got: CloningOutcome, want: CloningOutcome) -> None:
 def test_kernel_matches_run_cloner(spec_params, states, rails):
     spec, params = spec_params
     outs = clone_outcomes(params, states, spec, rails)
-    assert len(outs) == len(states)
-    for psi, out in zip(states, outs):
+    assert outs.shape == (len(states), 3)
+    for psi, row in zip(states, outs):
         _, oracle = run_cloner(params, psi, spec, rails)
-        _assert_outcomes_close(out, oracle)
-        assert 0.0 <= out.f1 <= 1.0 and 0.0 <= out.f2 <= 1.0 and 0.0 <= out.p_post <= 1.0
+        _assert_outcomes_close(CloningOutcome(*row), oracle)
+        assert np.all((0.0 <= row) & (row <= 1.0))
 
 
 def _measured_oracle(params, psi, spec, rails):
@@ -119,11 +119,13 @@ def test_batched_measurement_probabilities_match_evolve(spec_params, states, rai
 @settings(max_examples=100, deadline=None)
 @given(_random_specs, st.integers(1, 6), st.integers(0, 2**32 - 1), _states, _random_rails())
 def test_batched_kernel_rows_equal_single_point_calls(spec, batch, seed, states, rails):
-    # A (B, n_phases) stack gives B*S outcomes in row-major order and (B, S, 4)
-    # probabilities; each row is bitwise the call on its own phase vector.
+    # A (B, n_phases) stack gives (B, S, 3) outcomes and (B, S, 4) probabilities;
+    # each row is bitwise the call on its own phase vector.
     params = np.random.default_rng(seed).uniform(-10.0, 10.0, (batch, spec.n_phases))
-    singles = [out for p in params for out in clone_outcomes(p, states, spec, rails)]
-    assert clone_outcomes(params, states, spec, rails) == singles
+    singles = np.stack([clone_outcomes(p, states, spec, rails) for p in params])
+    batched = clone_outcomes(params, states, spec, rails)
+    assert batched.shape == (batch, len(states), 3)
+    assert np.array_equal(batched, singles)
     stacked = measurement_path_probabilities(params, states, spec, rails)
     assert stacked.shape == (batch, len(states), 4)
     for p, rows in zip(params, stacked):
@@ -138,7 +140,7 @@ def test_state_stack_is_built_once():
     assert stack.kets.shape == (2, 2) and stack.rotations.shape == (2, 2, 2)
     assert np.array_equal(stack.rotations[1], measurement_phases(states[1]).rotation())
     params = np.random.default_rng(1).uniform(0, 2 * np.pi, 12)
-    assert clone_outcomes(params, stack) == clone_outcomes(params, states)
+    assert np.array_equal(clone_outcomes(params, stack), clone_outcomes(params, states))
 
 
 def test_measurement_probabilities_of_no_states():
@@ -164,7 +166,7 @@ def test_zero_support_gives_zero_outcome(monkeypatch):
     monkeypatch.setattr(cloner, "build_mesh", lambda spec, params: swap)
     zero = CloningOutcome(f1=0.0, f2=0.0, p_post=0.0)
     psi = QubitState.zero()
-    assert clone_outcomes(np.zeros(12), [psi, psi]) == [zero, zero]
+    assert clone_outcomes(np.zeros(12), [psi, psi]).tolist() == [[0.0, 0.0, 0.0]] * 2
     assert run_cloner(np.zeros(12), psi)[1] == zero
     assert measurement_path_outcome(np.zeros(12), psi) == zero
     assert np.all(measurement_path_probabilities(np.zeros(12), [psi])[0] == 0.0)

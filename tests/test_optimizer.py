@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from vclone import cloner, optimizer
-from vclone.cloner import CloningOutcome, QubitState
+from vclone.cloner import QubitState
 from vclone.mesh import wrap_phases
 from vclone.optimizer import (
     NMConfig,
@@ -78,8 +79,7 @@ def test_best_so_far_monotone_across_reboots():
 
     cfg = NMConfig(max_evaluations=2000, stagnation_window=30, max_reboots=10)
     trace = nelder_mead(noisy, rng.uniform(-2, 2, 4), cfg)
-    series = trace.best_cost_series()
-    assert np.all(np.diff(series) <= 0)
+    assert np.all(np.diff(trace.best_costs) <= 0)
     assert trace.n_reboots >= 1
 
 
@@ -88,21 +88,19 @@ def test_determinism_bitwise_identical():
     cfg = NMConfig(max_evaluations=120, seed=7)
     rng = np.random.default_rng(7)
     init = rng.uniform(0, 2 * np.pi, 12)
-    a = nelder_mead(task.cost, init, cfg)
-    b = nelder_mead(task.cost, init, cfg)
+    a = nelder_mead(task.cost, init, cfg, task.states)
+    b = nelder_mead(task.cost, init, cfg, task.states)
     assert a.best_cost == b.best_cost
-    assert [r.cost for r in a.records] == [r.cost for r in b.records]
-    assert [r.point for r in a.records] == [r.point for r in b.records]
+    assert_same_columns(a, b)
 
 
 def test_wrapping_recorded_points_preserves_cost():
     task = pc_task()
     rng = np.random.default_rng(8)
-    trace = nelder_mead(task.cost, rng.uniform(0, 2 * np.pi, 12), NMConfig(max_evaluations=60))
-    for rec in trace.records[-5:]:
-        wrapped = wrap_phases(rec.point)
-        value, _ = task.cost(wrapped)
-        assert value == pytest.approx(rec.cost, abs=1e-12)
+    trace = nelder_mead(task.cost, rng.uniform(0, 2 * np.pi, 12), NMConfig(max_evaluations=60), task.states)
+    for point, cost in zip(trace.points[-5:], trace.costs[-5:]):
+        value, _ = task.cost(wrap_phases(point))
+        assert value == pytest.approx(cost, abs=1e-12)
 
 
 def test_evaluation_accounting(monkeypatch):
@@ -132,33 +130,103 @@ def test_evaluation_accounting(monkeypatch):
     assert max(rows for rows, _ in calls) <= 3 * 13
 
 
+def assert_same_columns(a: OptimizationTrace, b: OptimizationTrace) -> None:
+    """Every column of two traces holds the same values, dtypes and shapes."""
+    assert a.states == b.states
+    for name in optimizer.COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def assert_same_trace(a: OptimizationTrace, b: OptimizationTrace) -> None:
+    assert_same_columns(a, b)
+    assert np.array_equal(a.best_point, b.best_point)
+    header = ("best_cost", "n_iterations", "n_evaluations", "n_reboots", "seed", "error")
+    assert [getattr(a, k) for k in header] == [getattr(b, k) for k in header]
+
+
 def test_trace_jsonl_roundtrip(tmp_path):
     task = pc_task()
     rng = np.random.default_rng(10)
-    trace = nelder_mead(task.cost, rng.uniform(0, 2 * np.pi, 12), NMConfig(max_evaluations=30))
+    trace = nelder_mead(task.cost, rng.uniform(0, 2 * np.pi, 12), NMConfig(max_evaluations=30), task.states)
+    assert trace.outcomes.shape == (30, 4, 3) and trace.states == task.states
     path = tmp_path / "trace.jsonl"
     trace.to_jsonl(path)
     loaded = OptimizationTrace.from_jsonl(path)
-    assert loaded.best_cost == trace.best_cost
-    assert np.allclose(loaded.best_point, trace.best_point)
-    assert len(loaded.records) == len(trace.records)
-    assert loaded.records[-1].extras == trace.records[-1].extras
+    assert_same_trace(loaded, trace)
+    assert loaded.records == trace.records
+    assert loaded.records[-1].extras[task.states[0]] == dict(zip(("f1", "f2", "p"), trace.outcomes[-1, 0]))
 
 
-def test_trace_jsonl_bytes_match_asdict_serialization(tmp_path):
-    trace = OptimizationTrace(best_point=np.array([0.5, 1.5]), best_cost=0.25,
-                              n_iterations=1, n_evaluations=2, n_reboots=1, seed=3)
-    trace.records = [
-        optimizer.TraceRecord(1, 0, [0.5, 1.5], 0.25, 0.25,
-                              extras={"A": {"f1": 0.9, "f2": 0.8, "p": 0.3}}),
-        optimizer.TraceRecord(2, 1, [0.1, 2.0], 0.5, 0.25, reboot=True,
-                              extras={"A": {"f1": 0.7, "f2": 0.6, "p": 0.2}, "B": {"f1": 1.0}}),
-    ]
+def _aborted_trace():
+    """A run stopped by a non-finite first cost: an error, no rows, and an infinite best cost."""
+    return nelder_mead(lambda x: float("nan"), [0.5, 1.5], NMConfig(max_evaluations=10))
+
+
+@pytest.mark.parametrize("make", [
+    _aborted_trace,
+    lambda: nelder_mead(rosenbrock, [-1.2, 1.0], NMConfig(max_evaluations=300, stagnation_window=10)),
+    lambda: train(sd_task(*cloner.DEFAULT_SD_PAIRS[1], lam=1.0), NMConfig(max_evaluations=40), 1)[0],
+], ids=["aborted", "no states", "states"])
+def test_trace_v2_roundtrip_is_lossless(tmp_path, make):
+    trace = make()
     path = tmp_path / "trace.jsonl"
     trace.to_jsonl(path)
-    lines = path.read_bytes().splitlines(keepends=True)
-    assert len(lines) == 3
-    assert lines[1:] == [(json.dumps(dataclasses.asdict(r)) + "\n").encode() for r in trace.records]
+    loaded = OptimizationTrace.from_jsonl(path)
+    assert_same_trace(loaded, trace)
+    loaded.to_jsonl(tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+
+def test_aborted_and_stateless_traces_have_their_columns():
+    aborted = _aborted_trace()
+    assert "non-finite cost nan" in aborted.error
+    assert aborted.n_evaluations == 1 and aborted.best_cost == float("inf")
+    assert aborted.points.shape == (0, 2) and aborted.costs.shape == (0,) and aborted.records == []
+    assert aborted.outcomes is None and aborted.states == ()
+    plain = nelder_mead(rosenbrock, [-1.2, 1.0], NMConfig(max_evaluations=20))
+    assert plain.outcomes is None and plain.records[0].extras == {}
+
+
+def test_trace_jsonl_v2_format(tmp_path):
+    # A JSON header line, then one line per column: name, dtype, shape and the
+    # base64 of the little-endian bytes.
+    trace = OptimizationTrace(
+        points=np.array([[0.5, 1.5], [0.1, 2.0]]), costs=np.array([0.25, 0.5]),
+        best_costs=np.array([0.25, 0.25]), iterations=np.array([0, 1]),
+        reboots=np.array([False, True]), outcomes=np.arange(6.0).reshape(2, 1, 3), states=("A",),
+        best_point=np.array([0.5, 1.5]), best_cost=0.25, n_iterations=1, n_evaluations=2,
+        n_reboots=1, seed=3)
+    path = tmp_path / "trace.jsonl"
+    trace.to_jsonl(path)
+    header, *lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert header == {"schema_version": 2, "best_point": [0.5, 1.5], "best_cost": 0.25,
+                      "n_iterations": 1, "n_evaluations": 2, "n_reboots": 1, "seed": 3,
+                      "error": None, "states": ["A"]}
+    assert [line["name"] for line in lines] == list(optimizer.COLUMNS)
+    for line in lines:
+        column = getattr(trace, line["name"])
+        assert line["shape"] == list(column.shape)
+        assert line["dtype"] == column.dtype.newbyteorder("<").str
+        assert base64.b64decode(line["data"]) == column.astype(line["dtype"]).tobytes()
+    assert [r.extras for r in trace.records] == [{"A": {"f1": 0.0, "f2": 1.0, "p": 2.0}},
+                                                 {"A": {"f1": 3.0, "f2": 4.0, "p": 5.0}}]
+    assert trace.reboot_evaluations() == [2]
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda lines: lines[:3] + lines[4:], "expected columns"),
+    (lambda lines: lines[:2] + [lines[2].replace('"shape": [2]', '"shape": [1]')] + lines[3:], "reshape"),
+])
+def test_trace_v2_rejects_inconsistent_columns(tmp_path, change, message):
+    trace = nelder_mead(rosenbrock, [-1.2, 1.0], NMConfig(max_evaluations=2))
+    path = tmp_path / "trace.jsonl"
+    trace.to_jsonl(path)
+    path.write_text("\n".join(change(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=message):
+        OptimizationTrace.from_jsonl(path)
 
 
 def test_trace_reboot_markers_recorded():
@@ -237,7 +305,7 @@ def test_train_restart_seeds_differ():
     task = pc_task()
     cfg = NMConfig(max_evaluations=50)
     _, traces = train(task, cfg, restarts=3, seed=5)
-    starts = {tuple(t.records[0].point) for t in traces}
+    starts = {tuple(t.points[0]) for t in traces}
     assert len(starts) == 3
     assert [t.seed for t in traces] == [5, 6, 7]
 
@@ -251,7 +319,7 @@ def test_train_tags_each_row_with_its_restart():
         return task.costs(points, restarts)
 
     cfg = NMConfig(max_evaluations=30)
-    train(optimizer.Task(task.name, task.dim, costs), cfg, restarts=2, seed=0)
+    train(optimizer.Task(task.name, task.dim, costs, task.states), cfg, restarts=2, seed=0)
     assert seen[0] == [0] * 13 + [1] * 13
     assert {r for step in seen for r in step} == {0, 1}
 
@@ -260,7 +328,7 @@ def _solo_runs(task, cfg, restarts, seed):
     """Each restart of ``train`` run alone through ``nelder_mead`` on the scalar cost."""
     return [
         nelder_mead(task.cost, np.random.default_rng(seed + r).uniform(0, 2 * np.pi, task.dim),
-                    dataclasses.replace(cfg, seed=seed + r))
+                    dataclasses.replace(cfg, seed=seed + r), task.states)
         for r in range(restarts)
     ]
 
@@ -273,8 +341,8 @@ def test_lockstep_traces_equal_solo_runs(name):
     _, traces = train(task, cfg, restarts=3, seed=2)
     assert sum(t.n_reboots for t in traces) > 0
     for trace, solo in zip(traces, _solo_runs(task, cfg, 3, 2)):
-        assert trace.records == solo.records
-        assert len(trace.records) == trace.n_evaluations == 300
+        assert_same_columns(trace, solo)
+        assert len(trace.costs) == trace.n_evaluations == 300
         assert (trace.n_iterations, trace.n_reboots, trace.best_cost) == (
             solo.n_iterations, solo.n_reboots, solo.best_cost)
         assert np.array_equal(trace.best_point, solo.best_point)
@@ -294,8 +362,9 @@ def test_lockstep_noisy_restarts_keep_their_own_streams():
     _, traces = train(_noisy_task("pc", 40), cfg, restarts=2, seed=9)
     for r, trace in enumerate(traces):
         init = np.random.default_rng(9 + r).uniform(0, 2 * np.pi, 12)
-        solo = nelder_mead(_noisy_task("pc", 40 + r).cost, init, dataclasses.replace(cfg, seed=9 + r))
-        assert trace.records == solo.records
+        task = _noisy_task("pc", 40 + r)
+        solo = nelder_mead(task.cost, init, dataclasses.replace(cfg, seed=9 + r), task.states)
+        assert_same_columns(trace, solo)
 
 
 @pytest.mark.parametrize("name", ["pc", "sd"])
@@ -312,8 +381,8 @@ def test_shared_noisy_train_equals_solo_runs_on_each_stream(name):
     assert traces[0].reboot_evaluations()[-1] == first_reboot
     for r, trace in enumerate(traces):
         (solo,) = _solo_runs(_noisy_task(name, noise_seed + r), cfg, 1, seed + r)
-        assert trace.records == solo.records
-        assert len(trace.records) == trace.n_evaluations == cfg.max_evaluations
+        assert_same_columns(trace, solo)
+        assert len(trace.costs) == trace.n_evaluations == cfg.max_evaluations
         assert (trace.n_iterations, trace.n_reboots, trace.best_cost) == (
             solo.n_iterations, solo.n_reboots, solo.best_cost)
 
@@ -342,14 +411,15 @@ def test_budget_runs_out_inside_a_batch(batch):
     budget = start + rows // 2
     full = nelder_mead(_rosenbrock_4d, init, NMConfig(max_evaluations=2000))
     trace = nelder_mead(_rosenbrock_4d, init, NMConfig(max_evaluations=budget))
-    assert len(trace.records) == trace.n_evaluations == budget
-    assert trace.records == full.records[:budget]
+    assert len(trace.costs) == trace.n_evaluations == budget
+    for name in ("points", "costs", "best_costs", "iterations", "reboots"):
+        assert np.array_equal(getattr(trace, name), getattr(full, name)[:budget])
 
 
 def test_budget_cuts_every_lockstep_build():
     _, traces = train(pc_task(), NMConfig(max_evaluations=5), restarts=3, seed=1)
     for trace in traces:
-        assert len(trace.records) == trace.n_evaluations == 5
+        assert len(trace.costs) == trace.n_evaluations == 5
         assert trace.n_iterations == 0 and trace.error is None
 
 
@@ -360,19 +430,20 @@ def test_non_finite_row_in_shared_batch_stops_only_its_restart():
 
     def costs(points, restarts):
         batches.append(len(points))
-        return [(float("nan") if np.array_equal(p, poisoned) else rosenbrock(p), {}) for p in points]
+        return np.array([float("nan") if np.array_equal(p, poisoned) else rosenbrock(p) for p in points]), None
 
     task = optimizer.Task(name="rosenbrock", dim=2, costs=costs)
     _, traces = train(task, cfg, restarts=3, seed=seed)
     assert batches[0] == 3 * 3  # the poisoned row arrives with the other builds
     assert "non-finite cost nan" in traces[1].error
-    assert traces[1].n_evaluations == 1 and traces[1].records == []
+    assert traces[1].n_evaluations == 1 and len(traces[1].costs) == 0
     assert np.array_equal(traces[1].best_point, poisoned)
     for r in (0, 2):
         assert traces[r].error is None
-        assert len(traces[r].records) == traces[r].n_evaluations == cfg.max_evaluations
+        assert len(traces[r].costs) == traces[r].n_evaluations == cfg.max_evaluations
     solo = _solo_runs(task, cfg, 3, seed)
-    assert traces[0].records == solo[0].records and traces[2].records == solo[2].records
+    assert_same_columns(traces[0], solo[0])
+    assert_same_columns(traces[2], solo[2])
 
 
 def test_train_zero_restarts_rejected():
@@ -383,11 +454,27 @@ def test_train_zero_restarts_rejected():
 def test_sd_task_extras_recorded():
     psi_a, psi_b = cloner.DEFAULT_SD_PAIRS[0]
     task = sd_task(psi_a, psi_b, lam=1.0)
-    value, extras = task.cost(np.zeros(12))
-    assert set(extras) == {"A", "B"}
+    value, outcomes = task.cost(np.zeros(12))
+    assert task.states == ("A", "B") and outcomes.shape == (2, 3)
     assert value == pytest.approx(
         cloner.cost_sd(np.zeros(12), psi_a, psi_b, 1.0), abs=1e-14
     )
+
+
+def test_task_costs_round_as_python_floats():
+    # Noisy trajectories hang on the last bit of each cost: Python's ** (libm
+    # pow) and numpy's square round differently on some inputs.
+    outs = np.random.default_rng(3).random((20_000, 2, 3))
+    task = sd_task(*cloner.DEFAULT_SD_PAIRS[0], lam=0.5, evaluator=lambda params, states, restarts: outs)
+    costs, outcomes = task.costs(np.zeros((len(outs), 12)), [0] * len(outs))
+    assert outcomes is outs
+    want = []
+    for (f1a, f2a, pa), (f1b, f2b, pb) in outs.tolist():
+        total = 0.0
+        total += (1.0 - f1a) ** 2 + (1.0 - f2a) ** 2 + (f1a - f2a) ** 2
+        total += (1.0 - f1b) ** 2 + (1.0 - f2b) ** 2 + (f1b - f2b) ** 2
+        want.append(total + 0.5 * ((1.0 - pa) ** 2 + (1.0 - pb) ** 2 + (pa - pb) ** 2))
+    assert costs.tolist() == want
 
 
 def test_nmconfig_validation():
@@ -421,6 +508,6 @@ def test_validate_sweep_count_four_matches_training_set():
 
 
 def test_validate_sweep_custom_evaluator():
-    stub = lambda params, states: [CloningOutcome(f1=0.9, f2=0.8, p_post=0.5) for _ in states]
+    stub = lambda params, states: np.tile([0.9, 0.8, 0.5], (len(states), 1))
     rows = validate_sweep(np.zeros(12), count=5, evaluator=stub)
     assert all(r[1:] == (0.9, 0.8, 0.5) for r in rows)

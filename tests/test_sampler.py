@@ -75,6 +75,21 @@ def test_batch_draw_equals_sequential_draws():
     assert batched_rng.random() == sequential_rng.random()
 
 
+def test_owned_rows_draw_from_their_own_generators():
+    # One call for rows of three owners, interleaved: owner r's rows, in order,
+    # get the counts of one call on its own generator.
+    probs = np.random.default_rng(9).dirichlet(np.ones(5), size=(6, 2))[..., :4]  # (6, 2, 4)
+    owners = np.array([2, 0, 2, 1, 0, 2])
+    rngs = {r: np.random.default_rng(20 + r) for r in (0, 1, 2)}
+    counts = sample_counts(probs, 3000, rngs, owners)
+    assert counts.shape == (6, 2, 4)
+    for r in (0, 1, 2):
+        alone = sample_counts(probs[owners == r], 3000, np.random.default_rng(20 + r))
+        assert np.array_equal(counts[owners == r], alone)
+    with pytest.raises(ValueError):
+        sample_counts(np.array([[0.7, 0.7]]), 100, rngs, np.array([0]))
+
+
 @pytest.mark.parametrize("bad_row", [[0.7, 0.5, 0.0], [0.5, -0.1, 0.2]])
 def test_invalid_row_in_batch_rejected(bad_row):
     with pytest.raises(ValueError):
@@ -89,20 +104,23 @@ def test_batched_noisy_task_matches_state_by_state_sampling():
     states = {f"phi={phi:.4f}": QubitState.equatorial(phi) for phi in cloner.TRAINING_PHASES}
 
     def reference(params):
-        total, extras = 0.0, {}
-        for label, psi in states.items():
+        total, outcomes = 0.0, []
+        for psi in states.values():
             probs = measurement_path_probabilities(params, [psi])[0]
             out = estimate_outcome(sample_counts(probs, noise.shots, rng), noise.shots)
             total += cloner._symmetric_terms(out.f1, out.f2)
-            extras[label] = {"f1": out.f1, "f2": out.f2, "p": out.p_post}
-        return total, extras
+            outcomes.append((out.f1, out.f2, out.p_post))
+        return total, np.array(outcomes)
 
     init = np.random.default_rng(14).uniform(0, 2 * np.pi, 12)
     cfg = NMConfig(max_evaluations=200)
-    got = nelder_mead(pc_task(evaluator=sampled_evaluator(noise)).cost, init, cfg)
-    want = nelder_mead(reference, init, cfg)
+    task = pc_task(evaluator=sampled_evaluator(noise))
+    got = nelder_mead(task.cost, init, cfg, task.states)
+    want = nelder_mead(reference, init, cfg, list(states))
     assert got.n_evaluations == want.n_evaluations == 200
-    assert [(r.cost, r.extras) for r in got.records] == [(r.cost, r.extras) for r in want.records]
+    assert got.states == want.states
+    assert np.array_equal(got.costs, want.costs)
+    assert np.array_equal(got.outcomes, want.outcomes)
 
 
 # ----------------------------------------------------------------- estimator
@@ -173,11 +191,11 @@ def test_exact_mode_passthrough():
     params = rng.uniform(0, 2 * np.pi, 12)
     psi = QubitState.equatorial(1.0)
     evaluate = sampled_evaluator(NoiseConfig(shots=None))
-    out = evaluate(params, [psi])[0]
+    f1, f2, p = evaluate(params, [psi])[0]
     _, exact = cloner.run_cloner(params, psi)
-    assert out.f1 == pytest.approx(exact.f1, abs=1e-10)
-    assert out.f2 == pytest.approx(exact.f2, abs=1e-10)
-    assert out.p_post == pytest.approx(exact.p_post, abs=1e-10)
+    assert f1 == pytest.approx(exact.f1, abs=1e-10)
+    assert f2 == pytest.approx(exact.f2, abs=1e-10)
+    assert p == pytest.approx(exact.p_post, abs=1e-10)
 
 
 def test_estimator_unbiased():
@@ -191,9 +209,9 @@ def test_estimator_unbiased():
     f1s, f2s = [], []
     for seed in range(reps):
         evaluate = sampled_evaluator(NoiseConfig(shots=10_000, seed=seed))
-        out = evaluate(params, [psi])[0]
-        f1s.append(out.f1)
-        f2s.append(out.f2)
+        f1, f2, _ = evaluate(params, [psi])[0]
+        f1s.append(f1)
+        f2s.append(f2)
     for values, truth in ((f1s, exact.f1), (f2s, exact.f2)):
         mean = np.mean(values)
         sem = np.std(values, ddof=1) / np.sqrt(reps)
@@ -210,8 +228,8 @@ def test_large_n_consistency():
     trials = 50
     for seed in range(trials):
         evaluate = sampled_evaluator(NoiseConfig(shots=1_000_000, seed=seed))
-        out = evaluate(params, [psi])[0]
-        if abs(out.f1 - exact.f1) >= 0.005 or abs(out.f2 - exact.f2) >= 0.005:
+        f1, f2, _ = evaluate(params, [psi])[0]
+        if abs(f1 - exact.f1) >= 0.005 or abs(f2 - exact.f2) >= 0.005:
             misses += 1
     assert misses == 0
 
@@ -223,7 +241,7 @@ def test_sampled_evaluator_deterministic_stream():
 
     def collect():
         evaluate = sampled_evaluator(NoiseConfig(shots=2000, seed=11))
-        return [(evaluate(params, [psi])[0].f1, evaluate(params, [psi])[0].f2) for _ in range(3)]
+        return [(evaluate(params, [psi])[0, 0], evaluate(params, [psi])[0, 1]) for _ in range(3)]
 
     assert collect() == collect()
 

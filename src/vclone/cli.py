@@ -13,6 +13,7 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -40,7 +41,7 @@ CONFIG_SCHEMA = {
                     "required": ["mode_count", "cells"],
                     "properties": {
                         "mode_count": {"type": "integer", "minimum": 2},
-                        "cells": {"type": "array"},
+                        "cells": {"type": "array", "minItems": 1},
                         "fixed_couplers": {"type": "array"},
                     },
                 },
@@ -110,8 +111,24 @@ class ConfigError(click.ClickException):
     pass
 
 
+def _json_path(parts) -> str:
+    return ".".join(map(str, parts)) or "config"
+
+
+def _reject_non_finite(value, path=()) -> None:
+    """Raise a ConfigError naming the first NaN or +-Infinity in a parsed config."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"invalid {_json_path(path)}: expected a finite number, got {value}")
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        _reject_non_finite(item, (*path, key))
+
+
 def load_config(path: Path) -> tuple[dict, bytes]:
-    """Read and schema-validate an experiment config; returns (config, raw bytes)."""
+    """Read and schema-validate an experiment config; returns (config, raw bytes).
+
+    A bad value fails as ``ConfigError("invalid <json path>: ...")``.
+    """
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -120,10 +137,11 @@ def load_config(path: Path) -> tuple[dict, bytes]:
         config = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    _reject_non_finite(config)
     try:
         jsonschema.validate(config, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}")
+        raise ConfigError(f"invalid {_json_path(exc.absolute_path)}: {exc.message} (config schema)")
     if config["task"] == "sd":
         if "lambda" not in config:
             raise ConfigError("sd task requires a 'lambda' value")
@@ -240,23 +258,20 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
     restarts = config.get("restarts", 1)
 
     if config["task"] == "pc":
-        states = [QubitState.equatorial(phi) for phi in cloner.TRAINING_PHASES]
         state_ids = [f"equatorial phi={phi:.6f}" for phi in cloner.TRAINING_PHASES]
         make_task = partial(optimizer.pc_task, spec)
-        noiseless_cost = partial(cloner.cost_pc, spec=spec)
     else:
         pair = config["pair"]
         psi_a = QubitState(pair["a"]["theta"], pair["a"]["phi"])
         psi_b = QubitState(pair["b"]["theta"], pair["b"]["phi"])
-        lam = config["lambda"]
-        states = [psi_a, psi_b]
         state_ids = ["A", "B"]
-        make_task = partial(optimizer.sd_task, psi_a, psi_b, lam, spec)
-        noiseless_cost = partial(cloner.cost_sd, psi_a=psi_a, psi_b=psi_b, lam=lam, spec=spec)
+        make_task = partial(optimizer.sd_task, psi_a, psi_b, config["lambda"], spec)
 
-    # One Task for all restarts; a noisy one draws restart r's rows from noise seed + r.
-    # Built before the run directory exists, so a bad mesh fails first.
-    task = _field("mesh", lambda: make_task(evaluator=sampler.sampled_evaluator(noise, spec)))
+    # The exact task gives the summary; a noisy run trains on one sampled task, which
+    # draws restart r's rows from noise seed + r.  Built before the run directory
+    # exists, so a bad mesh fails first.
+    exact = _field("mesh", make_task)
+    task = exact if noise.shots is None else make_task(evaluator=sampler.sampled_evaluator(noise, spec))
 
     run_dir = Path(out_dir or config.get("output_dir", "runs/latest"))
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -288,10 +303,8 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
     params_path.write_text(json.dumps(best_params, indent=2) + "\n")
     manifest.add_file(params_path)
 
-    rows = []
-    for state_id, psi in zip(state_ids, states):
-        _, out = cloner.run_cloner(best.best_point, psi, spec)
-        rows.append((state_id, f"{out.f1:.12f}", f"{out.f2:.12f}", f"{out.p_post:.12f}"))
+    best_cost_noiseless, outcomes = exact.cost(best.best_point)
+    rows = [(state_id, *(f"{x:.12f}" for x in out)) for state_id, out in zip(state_ids, outcomes.tolist())]
     summary_path = run_dir / "summary.csv"
     _write_csv(summary_path, ["state_id", "f1", "f2", "p_post"], rows)
     manifest.add_file(summary_path)
@@ -299,7 +312,7 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
     summary = {
         "task": config["task"],
         "best_cost_trace": best.best_cost,
-        "best_cost_noiseless": float(noiseless_cost(best.best_point)),
+        "best_cost_noiseless": best_cost_noiseless,
         "restarts": restarts,
         "total_evaluations": sum(t.n_evaluations for t in traces),
         "total_iterations": sum(t.n_iterations for t in traces),

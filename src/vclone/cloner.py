@@ -55,10 +55,6 @@ class QubitState:
     def amplitudes(self) -> np.ndarray:
         return np.array(self.ket())
 
-    def projector(self) -> np.ndarray:
-        a = self.amplitudes()
-        return np.outer(a, a.conj())
-
     @classmethod
     def equatorial(cls, phi: float) -> "QubitState":
         """State on the Bloch equator: (|0> + e^{i phi}|1>) / sqrt(2)."""
@@ -149,28 +145,9 @@ class PrepPhases:
         return _embed_pair(self.rotation(), self.rails, m)
 
 
-@dataclass(frozen=True)
-class MeasPhases:
-    """Measurement stage: rotate the target state onto the |0> rail of each clone pair."""
-
-    theta: float
-    phi: float
-
-    def rotation(self) -> np.ndarray:
-        # Unitary with first row <psi|, so psi maps to the |0> rail.
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        e = np.exp(1j * self.phi)
-        return np.array([[c, s / e], [-s * e, c]], dtype=complex)
-
-
 def prep_phases(psi: QubitState, rails: RailMap = DEFAULT_RAILS) -> PrepPhases:
     """Preparation settings writing psi on the input rails (ancilla untouched)."""
     return PrepPhases(theta=psi.theta, phi=psi.phi, rails=rails.input_rails)
-
-
-def measurement_phases(psi: QubitState) -> MeasPhases:
-    """Measurement settings projecting each clone pair onto the psi basis."""
-    return MeasPhases(theta=psi.theta, phi=psi.phi)
 
 
 def _coincidence_patterns(rails: RailMap) -> list[tuple[int, ...]]:
@@ -193,6 +170,13 @@ def four_mode_spec(spec: MeshSpec | None) -> MeshSpec:
     return spec
 
 
+def _measurement_rotation(psi: QubitState) -> np.ndarray:
+    """The measurement stage W on a clone pair: first row <psi|, so psi maps to the |0> rail."""
+    c, s = math.cos(psi.theta), math.sin(psi.theta)
+    e = np.exp(1j * psi.phi)
+    return np.array([[c, s / e], [-s * e, c]], dtype=complex)
+
+
 class StateStack(tuple):
     """Input states carrying their kets (S, 2) and measurement rotations W (S, 2, 2), built once."""
 
@@ -201,7 +185,7 @@ class StateStack(tuple):
             return states
         stack = super().__new__(cls, states)
         stack.kets = np.array([psi.ket() for psi in stack], dtype=complex).reshape(-1, 2)
-        stack.rotations = np.array([measurement_phases(p).rotation() for p in stack]).reshape(-1, 2, 2)
+        stack.rotations = np.array([_measurement_rotation(p) for p in stack]).reshape(-1, 2, 2)
         return stack
 
 
@@ -359,50 +343,6 @@ def measurement_path_outcome(
     """
     p = measurement_path_probabilities(params, [psi], spec, rails)[0]
     return CloningOutcome(*map(float, _outcome(p.sum(), p[0] + p[1], p[0] + p[2])))
-
-
-def _symmetric_terms(f1: float, f2: float) -> float:
-    return (1.0 - f1) ** 2 + (1.0 - f2) ** 2 + (f1 - f2) ** 2
-
-
-def cost_pc(
-    params: np.ndarray | list[float],
-    spec: MeshSpec | None = None,
-    rails: RailMap = DEFAULT_RAILS,
-) -> float:
-    """Equatorial-cloning cost over the four-phase training set.
-
-    Sum over training phases of (1-F1)^2 + (1-F2)^2 + (F1-F2)^2; the four
-    X/Y eigenstates average second moments exactly as the full equator.
-    Evaluated on the ``run_cloner`` oracle; training uses the kernel.
-    """
-    total = 0.0
-    for phi in TRAINING_PHASES:
-        _, out = run_cloner(params, QubitState.equatorial(phi), spec, rails)
-        total += _symmetric_terms(out.f1, out.f2)
-    return total
-
-
-def cost_sd(
-    params: np.ndarray | list[float],
-    psi_a: QubitState,
-    psi_b: QubitState,
-    lam: float = 1.0,
-    spec: MeshSpec | None = None,
-    rails: RailMap = DEFAULT_RAILS,
-) -> float:
-    """Two-state cloning cost with success-probability regularization.
-
-    Six fidelity terms for the two states plus
-    lam * [(1-P_A)^2 + (1-P_B)^2 + (P_A-P_B)^2], on the ``run_cloner`` oracle.
-    """
-    if lam < 0:
-        raise ValueError("regularization weight must be non-negative")
-    _, out_a = run_cloner(params, psi_a, spec, rails)
-    _, out_b = run_cloner(params, psi_b, spec, rails)
-    total = _symmetric_terms(out_a.f1, out_a.f2) + _symmetric_terms(out_b.f1, out_b.f2)
-    total += lam * _symmetric_terms(out_a.p_post, out_b.p_post)
-    return total
 
 
 def equatorial_fidelity_profile(rho: np.ndarray, phis: np.ndarray) -> np.ndarray:

@@ -117,13 +117,6 @@ class FockAmplitudes:
     def total_probability(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
-    def to_records(self) -> list[dict]:
-        """Debug-friendly rows: pattern plus real/imag parts."""
-        return [
-            {"pattern": list(p), "re": float(a.real), "im": float(a.imag)}
-            for p, a in self.amplitudes.items()
-        ]
-
 
 @dataclass(frozen=True)
 class PostselectionRule:

@@ -61,35 +61,6 @@ def balanced_coupler() -> np.ndarray:
     return np.array([[1.0, 1j], [1j, 1.0]], dtype=complex) / np.sqrt(2.0)
 
 
-def embed(block: np.ndarray, mode_pair: tuple[int, int], m: int) -> np.ndarray:
-    """Embed a 2x2 block acting on an adjacent mode pair into an m-mode identity."""
-    i, j = mode_pair
-    if j != i + 1:
-        raise ValueError(f"mode pair {mode_pair} is not adjacent")
-    if i < 0 or j >= m:
-        raise ValueError(f"mode pair {mode_pair} out of range for {m} modes")
-    u = np.eye(m, dtype=complex)
-    u[i : i + 2, i : i + 2] = block
-    return u
-
-
-@dataclass(frozen=True)
-class MZICell:
-    """One tunable Mach-Zehnder cell placed on an adjacent mode pair."""
-
-    theta: float
-    phi: float
-    mode_pair: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        i, j = self.mode_pair
-        if j != i + 1 or i < 0:
-            raise ValueError(f"invalid mode pair {self.mode_pair}")
-
-    def unitary(self) -> np.ndarray:
-        return mzi_unitary(self.theta, self.phi)
-
-
 @dataclass(frozen=True)
 class MeshSpec:
     """Layout of a mesh: ordered cell placements plus optional fixed couplers.
@@ -127,11 +98,6 @@ class MeshSpec:
             mode_count=4,
             cell_pairs=((0, 1), (2, 3), (1, 2), (0, 1), (2, 3), (1, 2)),
         )
-
-    @classmethod
-    def single_mzi(cls) -> "MeshSpec":
-        """A single 2-mode cell (useful for tests and calibration)."""
-        return cls(mode_count=2, cell_pairs=((0, 1),))
 
     def to_dict(self) -> dict:
         """JSON-serializable form; see the config schema in the README."""

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import cloner
-from .cloner import QubitState, RailMap, DEFAULT_RAILS, _symmetric_terms, clone_outcomes
+from .cloner import QubitState, RailMap, DEFAULT_RAILS, clone_outcomes
 from .cloner import run_cloner  # noqa: F401  the oracle, patched here by perfbench/spans.py
 from .mesh import MeshSpec
 
@@ -393,6 +393,10 @@ class Task:
         return float(costs[0]), None if outcomes is None else outcomes[0]
 
 
+def _symmetric_terms(f1: float, f2: float) -> float:
+    return (1.0 - f1) ** 2 + (1.0 - f2) ** 2 + (f1 - f2) ** 2
+
+
 def _cloning_task(name: str, states: dict[str, QubitState], lam: float | None,
                   spec: MeshSpec | None, rails: RailMap, evaluator: Evaluator | None) -> Task:
     """Symmetric cloning cost summed over the labelled states, plus lam times the
@@ -489,15 +493,13 @@ def validate_sweep(
     count: int = 50,
     spec: MeshSpec | None = None,
     rails: RailMap = DEFAULT_RAILS,
-    evaluator: Evaluator | None = None,
 ) -> list[tuple[float, float, float, float]]:
     """Evaluate the circuit on ``count`` evenly spaced equatorial states.
 
     Returns rows (phi, F1, F2, P_post) for phi = 2*pi*k/count, from one
-    ``evaluator`` call (default: the exact kernel) covering every state.
+    exact kernel call covering every state.
     """
     phis = [2.0 * math.pi * k / count for k in range(count)]
     states = [QubitState.equatorial(phi) for phi in phis]
-    params = np.asarray(params, dtype=float)
-    outs = evaluator(params, states) if evaluator else clone_outcomes(params, states, spec, rails)
-    return [(phi, f1, f2, p) for phi, (f1, f2, p) in zip(phis, np.asarray(outs).tolist())]
+    outs = clone_outcomes(np.asarray(params, dtype=float), states, spec, rails)
+    return [(phi, f1, f2, p) for phi, (f1, f2, p) in zip(phis, outs.tolist())]

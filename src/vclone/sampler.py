@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cloner import QubitState, RailMap, DEFAULT_RAILS, clone_outcomes, four_mode_spec
+from .cloner import QubitState, RailMap, DEFAULT_RAILS, four_mode_spec
 from .cloner import measurement_path_probabilities
 from .mesh import MeshSpec
 
@@ -135,20 +135,20 @@ def sampled_evaluator(
     spec: MeshSpec | None = None,
     rails: RailMap = DEFAULT_RAILS,
 ) -> Callable[..., np.ndarray]:
-    """Evaluator (params, states, restarts=None) -> (..., S, 3) outcomes, shaped like ``clone_outcomes``.
+    """Evaluator (params, states, restarts=None) -> (..., S, 3) outcomes, shaped like
+    ``clone_outcomes``, for a noisy run; an exact run uses the kernel itself.
 
     ``restarts`` names the restart that asked for each phase vector (None: all
-    restart 0).  Exact mode (shots=None) ignores it and calls the kernel,
-    ``clone_outcomes``.  Otherwise each call builds the mesh once for all phase
-    vectors, and restart r draws the counts of its own rows, in order, in one
-    multinomial call on its own generator, ``default_rng(noise.seed + r)``, made
-    on first use.  So each restart's sample stream is the one a single-stream
-    evaluator seeded ``noise.seed + r`` would give it, whatever it shares a call
-    with, and a fixed seed gives a deterministic run.
+    restart 0).  Each call builds the mesh once for all phase vectors, and
+    restart r draws the counts of its own rows, in order, in one multinomial
+    call on its own generator, ``default_rng(noise.seed + r)``, made on first
+    use.  So each restart's sample stream is the one a single-stream evaluator
+    seeded ``noise.seed + r`` would give it, whatever it shares a call with,
+    and a fixed seed gives a deterministic run.
     """
-    spec = four_mode_spec(spec)
     if noise.shots is None:
-        return lambda params, states, restarts=None: clone_outcomes(params, states, spec=spec, rails=rails)
+        raise ValueError("sampled_evaluator needs a shot count; exact runs use the kernel")
+    spec = four_mode_spec(spec)
     shots, rngs = noise.shots, {}
 
     def evaluate(params: np.ndarray, states: Sequence[QubitState],

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from vclone import cloner
+from vclone import cloner, fock, optimizer
 from vclone.cli import load_config, main
 from vclone.optimizer import OptimizationTrace
 
@@ -78,6 +79,11 @@ def test_missing_config_file(tmp_path, runner):
     assert result.exit_code != 0
 
 
+SD_CONFIG = {
+    "task": "sd",
+    "lambda": 1.0,
+    "pair": {"a": {"theta": 0.5, "phi": 0.0}, "b": {"theta": 0.9, "phi": 1.5}},
+}
 FIVE_MODE_MESH = {"mode_count": 5, "cells": [{"modes": [0, 1]}, {"modes": [3, 4]}]}
 
 
@@ -92,6 +98,14 @@ FIVE_MODE_MESH = {"mode_count": 5, "cells": [{"modes": [0, 1]}, {"modes": [3, 4]
         ({"seed": -3}, [], "seed"),
         ({"noise": {"shots": 200, "seed": -1}}, [], "noise.seed"),
         ({}, ["--seed", "-2"], "--seed"),
+        ({"mesh": {"mode_count": 4, "cells": []}}, [], "mesh.cells"),
+        ({"restarts": 0}, [], "restarts"),
+        ({"nm": {"max_evaluations": 0}}, [], "nm.max_evaluations"),
+        ({"noise": {"shots": 0}}, [], "noise.shots"),
+        ({**SD_CONFIG, "pair": {"a": {"theta": math.nan, "phi": 0.0}, "b": SD_CONFIG["pair"]["b"]}},
+         [], "pair.a.theta"),
+        ({"nm": {"stagnation_tol": math.nan}}, [], "nm.stagnation_tol"),
+        ({"nm": {"initial_edge": math.inf}}, [], "nm.initial_edge"),
     ],
 )
 def test_train_bad_input_fails_before_run_dir(tmp_path, runner, overrides, args, field):
@@ -136,17 +150,41 @@ def test_train_sd_summary_cost_consistency(tmp_path, runner):
     result = runner.invoke(main, ["train", "--config", str(path), "--out", str(out)])
     assert result.exit_code == 0, result.output
 
-    params = json.loads((out / "best_params.json").read_text())
+    params = np.array(json.loads((out / "best_params.json").read_text())["phases"])
     summary = json.loads((out / "summary.json").read_text())
-    recomputed = cloner.cost_sd(
-        np.array(params["phases"]),
-        cloner.QubitState(0.5, 0.0),
-        cloner.QubitState(0.9, 1.5),
-        1.0,
-    )
+    # The cost assembled by hand from the run_cloner (Fock oracle) outcomes.
+    out_a, out_b = (cloner.run_cloner(params, cloner.QubitState(*ab))[1] for ab in ((0.5, 0.0), (0.9, 1.5)))
+    recomputed = sum((1 - o.f1) ** 2 + (1 - o.f2) ** 2 + (o.f1 - o.f2) ** 2 for o in (out_a, out_b))
+    recomputed += (1 - out_a.p_post) ** 2 + (1 - out_b.p_post) ** 2 + (out_a.p_post - out_b.p_post) ** 2
     assert abs(summary["best_cost_noiseless"] - recomputed) < 1e-12
     # Noiseless run: the trace cost at the best point is the same quantity.
     assert abs(summary["best_cost_trace"] - recomputed) < 1e-9
+
+
+@pytest.mark.parametrize("overrides", [{}, SD_CONFIG], ids=["pc", "sd"])
+def test_exact_train_noiseless_cost_is_the_trace_cost(tmp_path, runner, overrides):
+    # Seed 3: here the Fock-oracle recomputation differed from the trace in the last bits.
+    path = write_config(tmp_path / "cfg.json", seed=3, **overrides)
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["best_cost_noiseless"] == summary["best_cost_trace"]
+
+
+@pytest.mark.parametrize("shots", ["exact", 500])
+@pytest.mark.parametrize("overrides", [{}, SD_CONFIG], ids=["pc", "sd"])
+def test_train_never_calls_the_fock_oracle(tmp_path, runner, monkeypatch, overrides, shots):
+    def oracle(*args, **kwargs):
+        raise AssertionError("the Fock oracle was called")
+
+    for owner, name in [(cloner, "run_cloner"), (optimizer, "run_cloner"), (fock, "evolve"), (cloner, "evolve")]:
+        monkeypatch.setattr(owner, name, oracle)
+    path = write_config(tmp_path / "cfg.json", **overrides, noise={"shots": shots, "seed": 1})
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert len(read_csv(out / "summary.csv")) == (2 if overrides else 4)
 
 
 def test_train_reproducible(tmp_path, runner):
@@ -335,9 +373,7 @@ def test_report_prints_aborted_restart(tmp_path, runner):
 
 
 def test_train_prints_aborted_restart(tmp_path, runner, monkeypatch):
-    from vclone import sampler
-
-    monkeypatch.setattr(sampler, "clone_outcomes",
+    monkeypatch.setattr(optimizer, "clone_outcomes",
                         lambda params, states, **kw: np.full((len(params), len(states), 3), np.nan))
     path = write_config(tmp_path / "cfg.json", restarts=1)
     result = runner.invoke(main, ["train", "--config", str(path), "--out", str(tmp_path / "run")])

@@ -3,7 +3,6 @@ import pytest
 from scipy.linalg import expm, logm
 
 from vclone.fock import (
-    FockAmplitudes,
     PostselectionRule,
     enumerate_patterns,
     evolve,
@@ -194,10 +193,3 @@ def test_exchange_symmetry_occupations_only():
     a = evolve((1, 1, 0), u)
     b = evolve([1, 1, 0], u)
     assert a.amplitudes == b.amplitudes
-
-
-def test_amplitude_records_roundtrip():
-    state = FockAmplitudes(n=1, m=2, amplitudes={(1, 0): 0.6, (0, 1): 0.8j})
-    records = state.to_records()
-    assert {"pattern": [1, 0], "re": 0.6, "im": 0.0} in records
-    assert {"pattern": [0, 1], "re": 0.0, "im": 0.8} in records

@@ -5,6 +5,8 @@ accepted amplitude as a 2x2 permanent from one mesh build; ``run_cloner``
 and ``fock.evolve`` take the general path through every output pattern.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from vclone.cloner import (
     clone_outcomes,
     measurement_path_outcome,
     measurement_path_probabilities,
-    measurement_phases,
     prep_phases,
     run_cloner,
 )
@@ -85,9 +86,16 @@ def test_kernel_matches_run_cloner(spec_params, states, rails):
         assert np.all((0.0 <= row) & (row <= 1.0))
 
 
+def measurement_rotation(psi):
+    """Reference measurement stage W on a clone pair: first row <psi|, so psi maps to the |0> rail."""
+    c, s = math.cos(psi.theta), math.sin(psi.theta)
+    e = np.exp(1j * psi.phi)
+    return np.array([[c, s / e], [-s * e, c]], dtype=complex)
+
+
 def _measured_oracle(params, psi, spec, rails):
     """Coincidence probabilities of the full prep -> mesh -> measurement unitary via fock.evolve."""
-    w = measurement_phases(psi).rotation()
+    w = measurement_rotation(psi)
     meas = cloner._embed_pair(w, rails.clone2_rails, 4) @ cloner._embed_pair(w, rails.clone1_rails, 4)
     u = meas @ build_mesh(spec, params) @ prep_phases(psi, rails).stage_unitary(4)
     state = evolve(rails.input_occupation(), u)
@@ -138,9 +146,18 @@ def test_state_stack_is_built_once():
     assert cloner.StateStack(stack) is stack
     assert stack == tuple(states)
     assert stack.kets.shape == (2, 2) and stack.rotations.shape == (2, 2, 2)
-    assert np.array_equal(stack.rotations[1], measurement_phases(states[1]).rotation())
+    assert np.array_equal(stack.rotations[1], measurement_rotation(states[1]))
     params = np.random.default_rng(1).uniform(0, 2 * np.pi, 12)
     assert np.array_equal(clone_outcomes(params, stack), clone_outcomes(params, states))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_states)
+def test_state_stack_rotations_equal_the_reference_bitwise(states):
+    stack = cloner.StateStack(states)
+    assert np.array_equal(stack.rotations, np.array([measurement_rotation(psi) for psi in states]))
+    for w in stack.rotations:
+        assert np.allclose(w @ w.conj().T, np.eye(2), atol=TOL)
 
 
 def test_measurement_probabilities_of_no_states():

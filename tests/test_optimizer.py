@@ -456,9 +456,11 @@ def test_sd_task_extras_recorded():
     task = sd_task(psi_a, psi_b, lam=1.0)
     value, outcomes = task.cost(np.zeros(12))
     assert task.states == ("A", "B") and outcomes.shape == (2, 3)
-    assert value == pytest.approx(
-        cloner.cost_sd(np.zeros(12), psi_a, psi_b, 1.0), abs=1e-14
-    )
+    # The cost assembled by hand from the run_cloner (Fock oracle) outcomes.
+    out_a, out_b = (cloner.run_cloner(np.zeros(12), psi)[1] for psi in (psi_a, psi_b))
+    expected = sum((1 - o.f1) ** 2 + (1 - o.f2) ** 2 + (o.f1 - o.f2) ** 2 for o in (out_a, out_b))
+    expected += (1 - out_a.p_post) ** 2 + (1 - out_b.p_post) ** 2 + (out_a.p_post - out_b.p_post) ** 2
+    assert value == pytest.approx(expected, abs=1e-14)
 
 
 def test_task_costs_round_as_python_floats():
@@ -507,7 +509,9 @@ def test_validate_sweep_count_four_matches_training_set():
         assert p == pytest.approx(out.p_post, abs=1e-12)
 
 
-def test_validate_sweep_custom_evaluator():
-    stub = lambda params, states: np.tile([0.9, 0.8, 0.5], (len(states), 1))
-    rows = validate_sweep(np.zeros(12), count=5, evaluator=stub)
+def test_validate_sweep_custom_evaluator(monkeypatch):
+    # The sweep's rows are the kernel's outcomes, state by state.
+    stub = lambda params, states, spec, rails: np.tile([0.9, 0.8, 0.5], (len(states), 1))
+    monkeypatch.setattr(optimizer, "clone_outcomes", stub)
+    rows = validate_sweep(np.zeros(12), count=5)
     assert all(r[1:] == (0.9, 0.8, 0.5) for r in rows)

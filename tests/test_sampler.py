@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vclone import cloner
+from vclone import cloner, optimizer
 from vclone.cloner import QubitState, measurement_path_outcome, measurement_path_probabilities
 from vclone.optimizer import NMConfig, nelder_mead, pc_task
 from vclone.sampler import (
@@ -108,7 +108,7 @@ def test_batched_noisy_task_matches_state_by_state_sampling():
         for psi in states.values():
             probs = measurement_path_probabilities(params, [psi])[0]
             out = estimate_outcome(sample_counts(probs, noise.shots, rng), noise.shots)
-            total += cloner._symmetric_terms(out.f1, out.f2)
+            total += optimizer._symmetric_terms(out.f1, out.f2)
             outcomes.append((out.f1, out.f2, out.p_post))
         return total, np.array(outcomes)
 
@@ -186,16 +186,9 @@ def test_estimator_fractions():
     assert est.f1_err == pytest.approx(np.sqrt(0.3 * 0.7 / 100))
 
 
-def test_exact_mode_passthrough():
-    rng = np.random.default_rng(3)
-    params = rng.uniform(0, 2 * np.pi, 12)
-    psi = QubitState.equatorial(1.0)
-    evaluate = sampled_evaluator(NoiseConfig(shots=None))
-    f1, f2, p = evaluate(params, [psi])[0]
-    _, exact = cloner.run_cloner(params, psi)
-    assert f1 == pytest.approx(exact.f1, abs=1e-10)
-    assert f2 == pytest.approx(exact.f2, abs=1e-10)
-    assert p == pytest.approx(exact.p_post, abs=1e-10)
+def test_sampled_evaluator_needs_shots():
+    with pytest.raises(ValueError):
+        sampled_evaluator(NoiseConfig(shots=None))
 
 
 def test_estimator_unbiased():

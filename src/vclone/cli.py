@@ -3,23 +3,24 @@
 Result files are CSV and JSON.  Each restart's trace is JSON Lines too:
 a header line, then one line per per-evaluation column holding its dtype,
 shape and base64-encoded little-endian bytes (trace schema v2; ``report``
-also reads the v1 files with one JSON record per evaluation).  Angles in
-configs are always radians; a config declaring any other unit is rejected.
+also reads the v1 files with one JSON record per evaluation).  ``check_config``
+is the one check of a config: a bad value fails before anything runs, naming its
+JSON path.  Angles in configs are always radians; any other unit is rejected.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime
 import hashlib
 import json
-import math
 import sys
 from functools import partial
 from pathlib import Path
+from typing import NoReturn
 
 import click
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -27,105 +28,112 @@ from . import cloner, fock, optimizer, sampler
 from .cloner import QubitState
 from .mesh import MeshSpec, wrap_phases
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["task", "seed"],
-    "additionalProperties": False,
-    "properties": {
-        "task": {"enum": ["pc", "sd"]},
-        "mesh": {
-            "oneOf": [
-                {"const": "four_mode_core"},
-                {
-                    "type": "object",
-                    "required": ["mode_count", "cells"],
-                    "properties": {
-                        "mode_count": {"type": "integer", "minimum": 2},
-                        "cells": {"type": "array", "minItems": 1},
-                        "fixed_couplers": {"type": "array"},
-                    },
-                },
-            ]
-        },
-        "angle_unit": {"const": "rad"},
-        "lambda": {"type": "number", "minimum": 0},
-        "pair": {
-            "type": "object",
-            "required": ["a", "b"],
-            "additionalProperties": False,
-            "properties": {
-                "a": {"$ref": "#/$defs/state"},
-                "b": {"$ref": "#/$defs/state"},
-            },
-        },
-        "nm": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "reflection": {"type": "number"},
-                "expansion": {"type": "number"},
-                "contraction": {"type": "number"},
-                "shrink": {"type": "number"},
-                "initial_edge": {"type": "number"},
-                "max_iterations": {"type": "integer", "minimum": 1},
-                "max_evaluations": {"type": "integer", "minimum": 1},
-                "stagnation_window": {"type": "integer", "minimum": 1},
-                "stagnation_tol": {"type": "number"},
-                "collapse_diameter": {"type": "number"},
-                "reboot_scale": {"type": "number"},
-                "max_reboots": {"type": "integer", "minimum": 0},
-            },
-        },
-        "noise": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "shots": {
-                    "oneOf": [{"type": "integer", "minimum": 1}, {"const": "exact"}]
-                },
-                "seed": {"type": "integer"},
-            },
-        },
-        "restarts": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-        "output_dir": {"type": "string"},
-    },
-    "$defs": {
-        "state": {
-            "type": "object",
-            "required": ["theta", "phi"],
-            "additionalProperties": False,
-            "properties": {
-                "theta": {"type": "number"},
-                "phi": {"type": "number"},
-            },
-        }
-    },
-}
-
-OPTIMAL_LINE = cloner.OPTIMAL_EQUATORIAL_FIDELITY
-SEMICLASSICAL_LINE = cloner.SEMICLASSICAL_FIDELITY
-
 
 class ConfigError(click.ClickException):
     pass
 
 
-def _json_path(parts) -> str:
-    return ".".join(map(str, parts)) or "config"
+def _fail(path: tuple, problem: str) -> NoReturn:
+    raise ConfigError(f"invalid {'.'.join(map(str, path)) or 'config'}: {problem}")
 
 
-def _reject_non_finite(value, path=()) -> None:
-    """Raise a ConfigError naming the first NaN or +-Infinity in a parsed config."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"invalid {_json_path(path)}: expected a finite number, got {value}")
-    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
-    for key, item in items:
-        _reject_non_finite(item, (*path, key))
+def _expect(ok, path: tuple, expected: str, value) -> None:
+    if not ok:
+        _fail(path, f"expected {expected}, got {json.dumps(value)}")
+
+
+# A check takes (value, JSON path) and raises a ConfigError naming the path.
+def _leaf(ok, expected: str):
+    return lambda value, path: _expect(ok(value), path, expected, value)
+
+
+def _integer(minimum: int = 0):
+    return _leaf(lambda v: type(v) is int and v >= minimum, f"an integer >= {minimum}")
+
+
+def _list(item, non_empty: bool = False):
+    def check(value, path):
+        _expect(type(value) is list and (value or not non_empty), path,
+                "a non-empty list" if non_empty else "a list", value)
+        for k, x in enumerate(value):
+            item(x, (*path, k))
+    return check
+
+
+def _object(fields: dict, required: tuple = ()):
+    def check(value, path):
+        _expect(type(value) is dict, path, "an object", value)
+        for key in required:
+            if key not in value:
+                _fail((*path, key), "missing")
+        for key, item in value.items():
+            if key not in fields:
+                _fail((*path, key), "unknown key")
+            fields[key](item, (*path, key))
+    return check
+
+
+_MODE_PAIR = _leaf(lambda v: True, "")  # MeshSpec checks its mode pairs
+_CELL = _object({"modes": _MODE_PAIR, "theta_index": _integer(), "phi_index": _integer()}, ("modes",))
+_MESH = _object({"mode_count": _integer(), "cells": _list(_CELL, non_empty=True),
+                 "fixed_couplers": _list(_MODE_PAIR)}, ("mode_count", "cells"))
+
+
+def _mesh(value, path) -> None:
+    _expect(value == "four_mode_core" or type(value) is dict, path, '"four_mode_core" or an object', value)
+    if value != "four_mode_core":
+        _MESH(value, path)
+
+
+# The float max bound also turns away NaN, +-Infinity and integers too big for a float.
+_NUMBER = _leaf(lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number")
+_STATE = _object({"theta": _NUMBER, "phi": _NUMBER}, ("theta", "phi"))
+_CONFIG = _object({
+    "task": _leaf(lambda v: v in ("pc", "sd"), '"pc" or "sd"'),
+    "seed": _integer(),
+    "mesh": _mesh,
+    "angle_unit": _leaf(lambda v: v == "rad", '"rad"'),
+    "lambda": _leaf(lambda v: type(v) in (int, float) and 0 <= v <= sys.float_info.max, "a finite number >= 0"),
+    "pair": _object({"a": _STATE, "b": _STATE}, ("a", "b")),
+    "nm": _object({  # every NMConfig field but the seed, which is the run's
+        f.name: _integer(0 if f.name == "max_reboots" else 1) if f.type == "int" else _NUMBER
+        for f in dataclasses.fields(optimizer.NMConfig) if f.name != "seed"
+    }),
+    "noise": _object({
+        "shots": _leaf(lambda v: v == "exact" or type(v) is int and v >= 1, 'an integer >= 1 or "exact"'),
+        "seed": _integer(),
+    }),
+    "restarts": _integer(1),
+    "output_dir": _leaf(lambda v: type(v) is str, "a string"),
+}, ("task", "seed"))
+
+
+def check_config(config, seed: int | None = None, shots: str | None = None) -> None:
+    """Check each field's JSON type and range, and unknown keys at every level,
+    then build the mesh, noise and Nelder-Mead settings; a bad value fails as
+    ``ConfigError("invalid <json path>: ...")``.  ``train``'s ``--seed`` and
+    ``--shots``, when given, are checked as flags and set in ``config`` first."""
+    _CONFIG(config, ())
+    if seed is not None:
+        _integer()(seed, ("--seed",))
+        config["seed"] = seed
+    if shots is not None:
+        _expect(shots == "exact" or shots.removeprefix("-").isdecimal(), ("--shots",),
+                'an integer or "exact"', shots)
+        config.setdefault("noise", {})["shots"] = shots if shots == "exact" else int(shots)
+    if config["task"] == "sd":
+        for key in ("lambda", "pair"):
+            if key not in config:
+                _fail((key,), 'missing; task "sd" needs it')
+    for key, build in (("mesh", mesh_from_config), ("noise", noise_from_config), ("nm", nm_from_config)):
+        try:
+            build(config)
+        except (ValueError, TypeError) as exc:
+            _fail((key,), str(exc))
 
 
 def load_config(path: Path) -> tuple[dict, bytes]:
-    """Read and schema-validate an experiment config; returns (config, raw bytes).
+    """Read and check an experiment config; returns (config, raw bytes).
 
     A bad value fails as ``ConfigError("invalid <json path>: ...")``.
     """
@@ -135,53 +143,25 @@ def load_config(path: Path) -> tuple[dict, bytes]:
         raise ConfigError(f"cannot read config: {exc}")
     try:
         config = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    _reject_non_finite(config)
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid {_json_path(exc.absolute_path)}: {exc.message} (config schema)")
-    if config["task"] == "sd":
-        if "lambda" not in config:
-            raise ConfigError("sd task requires a 'lambda' value")
-        if "pair" not in config:
-            raise ConfigError("sd task requires a 'pair' of states")
+    check_config(config)
     return config, raw
 
 
 def mesh_from_config(config: dict) -> MeshSpec:
     mesh = config.get("mesh", "four_mode_core")
-    if mesh == "four_mode_core":
-        return MeshSpec.four_mode_core()
-    return MeshSpec.from_dict(mesh)
+    return cloner.four_mode_spec(None if mesh == "four_mode_core" else MeshSpec.from_dict(mesh))
 
 
 def noise_from_config(config: dict) -> sampler.NoiseConfig:
-    noise = config.get("noise", {"shots": "exact"})
+    noise = config.get("noise", {})
     shots = noise.get("shots", "exact")
-    return sampler.NoiseConfig(
-        shots=None if shots == "exact" else int(shots),
-        seed=int(noise.get("seed", config["seed"])),
-    )
+    return sampler.NoiseConfig(shots=None if shots == "exact" else shots, seed=noise.get("seed", config["seed"]))
 
 
 def nm_from_config(config: dict) -> optimizer.NMConfig:
     return optimizer.NMConfig(**config.get("nm", {}), seed=config["seed"])
-
-
-def _non_negative(name: str, value: int) -> int:
-    if value < 0:
-        raise ConfigError(f"invalid {name}: expected a non-negative integer, got {value}")
-    return value
-
-
-def _field(name: str, build, *args):
-    """Call ``build(*args)``, reporting a bad value as a ConfigError naming the field."""
-    try:
-        return build(*args)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"invalid {name}: {exc}") from None
 
 
 class RunManifest:
@@ -245,32 +225,23 @@ def main() -> None:
 def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: str | None) -> None:
     """Run a training task and persist traces, summary, and best parameters."""
     config, _ = load_config(config_path)
-    if seed is not None:
-        config["seed"] = _non_negative("--seed", seed)
-    _non_negative("seed", config["seed"])
-    _non_negative("noise.seed", config.get("noise", {}).get("seed", 0))
-    if shots is not None:
-        shots_value = "exact" if shots == "exact" else _field("--shots", int, shots)
-        config.setdefault("noise", {})["shots"] = shots_value
-    spec = _field("mesh", mesh_from_config, config)
-    noise = _field("noise", noise_from_config, config)
-    cfg = _field("nm", nm_from_config, config)
+    check_config(config, seed, shots)
+    spec = mesh_from_config(config)
+    noise = noise_from_config(config)
+    cfg = nm_from_config(config)
     restarts = config.get("restarts", 1)
 
     if config["task"] == "pc":
         state_ids = [f"equatorial phi={phi:.6f}" for phi in cloner.TRAINING_PHASES]
         make_task = partial(optimizer.pc_task, spec)
     else:
-        pair = config["pair"]
-        psi_a = QubitState(pair["a"]["theta"], pair["a"]["phi"])
-        psi_b = QubitState(pair["b"]["theta"], pair["b"]["phi"])
+        psi_a, psi_b = (QubitState(**config["pair"][k]) for k in "ab")
         state_ids = ["A", "B"]
         make_task = partial(optimizer.sd_task, psi_a, psi_b, config["lambda"], spec)
 
     # The exact task gives the summary; a noisy run trains on one sampled task, which
-    # draws restart r's rows from noise seed + r.  Built before the run directory
-    # exists, so a bad mesh fails first.
-    exact = _field("mesh", make_task)
+    # draws restart r's rows from noise seed + r.
+    exact = make_task()
     task = exact if noise.shots is None else make_task(evaluator=sampler.sampled_evaluator(noise, spec))
 
     run_dir = Path(out_dir or config.get("output_dir", "runs/latest"))
@@ -363,7 +334,7 @@ def cmd_validate(params_path: Path, count: int, out_path: Path | None) -> None:
         raise click.ClickException(f"no parameters file at {params_path}")
     # Sweep on the run's own mesh, from the config.json that train writes alongside.
     config_path = params_path.parent / "config.json"
-    spec = _field("mesh", mesh_from_config, load_config(config_path)[0]) if config_path.exists() else None
+    spec = mesh_from_config(load_config(config_path)[0]) if config_path.exists() else None
     params = _read_phases(params_path, cloner.four_mode_spec(spec).n_phases)
 
     rows = optimizer.validate_sweep(params, count=count, spec=spec)
@@ -373,7 +344,7 @@ def cmd_validate(params_path: Path, count: int, out_path: Path | None) -> None:
         ["phi", "f1", "f2", "p_post", "f_optimal", "f_semiclassical"],
         [
             (f"{phi:.12f}", f"{f1:.12f}", f"{f2:.12f}", f"{p:.12f}",
-             f"{OPTIMAL_LINE:.12f}", f"{SEMICLASSICAL_LINE:.12f}")
+             f"{cloner.OPTIMAL_EQUATORIAL_FIDELITY:.12f}", f"{cloner.SEMICLASSICAL_FIDELITY:.12f}")
             for phi, f1, f2, p in rows
         ],
     )

@@ -80,7 +80,7 @@ class MeshSpec:
             raise ValueError("mode_count must be at least 2")
         for pair in tuple(self.cell_pairs) + tuple(self.fixed_couplers):
             i, j = pair
-            if j != i + 1 or i < 0 or j >= self.mode_count:
+            if {type(i), type(j)} != {int} or j != i + 1 or i < 0 or j >= self.mode_count:
                 raise ValueError(f"invalid mode pair {pair}")
 
     @property
@@ -100,7 +100,7 @@ class MeshSpec:
         )
 
     def to_dict(self) -> dict:
-        """JSON-serializable form; see the config schema in the README."""
+        """JSON-serializable form; see the config section of the README."""
         return {
             "mode_count": self.mode_count,
             "cells": [

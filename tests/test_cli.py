@@ -1,14 +1,20 @@
+import copy
 import csv
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from vclone import cloner, fock, optimizer
+from vclone import cli, cloner, fock, optimizer
 from vclone.cli import load_config, main
 from vclone.optimizer import OptimizationTrace
 
@@ -54,7 +60,7 @@ def test_load_config_rejects_bad_task(tmp_path, runner):
     path = write_config(tmp_path / "cfg.json", task="universal")
     result = runner.invoke(main, ["train", "--config", str(path)])
     assert result.exit_code != 0
-    assert "schema" in result.output
+    assert "invalid task:" in result.output
 
 
 def test_sd_config_requires_lambda(tmp_path, runner):
@@ -79,12 +85,23 @@ def test_missing_config_file(tmp_path, runner):
     assert result.exit_code != 0
 
 
+def test_undecodable_config_file(tmp_path, runner):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xff\x00")
+    result = runner.invoke(main, ["train", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert "config is not valid JSON" in result.output
+    assert not (tmp_path / "run").exists()
+
+
 SD_CONFIG = {
     "task": "sd",
     "lambda": 1.0,
     "pair": {"a": {"theta": 0.5, "phi": 0.0}, "b": {"theta": 0.9, "phi": 1.5}},
 }
 FIVE_MODE_MESH = {"mode_count": 5, "cells": [{"modes": [0, 1]}, {"modes": [3, 4]}]}
+FOUR_CELL_MESH = {"mode_count": 4, "cells": [{"modes": [1, 2]}, {"modes": [0, 1]},
+                                             {"modes": [2, 3]}, {"modes": [1, 2]}]}
 
 
 @pytest.mark.parametrize(
@@ -106,6 +123,16 @@ FIVE_MODE_MESH = {"mode_count": 5, "cells": [{"modes": [0, 1]}, {"modes": [3, 4]
          [], "pair.a.theta"),
         ({"nm": {"stagnation_tol": math.nan}}, [], "nm.stagnation_tol"),
         ({"nm": {"initial_edge": math.inf}}, [], "nm.initial_edge"),
+        ({"restarts": 2.0}, [], "restarts"),
+        ({"seed": 1.0}, [], "seed"),
+        ({"nm": {"max_evaluations": 20.0}}, [], "nm.max_evaluations"),
+        ({"nm": {"stagnation_window": 3.0}}, [], "nm.stagnation_window"),
+        ({"nm": {"reflection": True}}, [], "nm.reflection"),
+        ({"mesh": {"mode_count": 4, "cells": [5]}}, [], "mesh.cells.0"),
+        ({"mesh": {"mode_count": 4, "cells": [{"modes": [0, 1.0]}]}}, [], "mesh"),
+        ({"mesh": {**FOUR_CELL_MESH, "fixed_coupler": [[1, 2]]}}, [], "mesh.fixed_coupler"),
+        ({"mesh": {"mode_count": 4, "cells": [{"modes": [0, 1], "phase_index": 0}]}}, [],
+         "mesh.cells.0.phase_index"),
     ],
 )
 def test_train_bad_input_fails_before_run_dir(tmp_path, runner, overrides, args, field):
@@ -116,6 +143,45 @@ def test_train_bad_input_fails_before_run_dir(tmp_path, runner, overrides, args,
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert f"invalid {field}:" in result.output
     assert not out.exists()
+
+
+#: A valid config that trains in well under a second, with every optional
+#: top-level field the default mesh takes.
+TINY_CONFIG = {
+    "task": "pc", "seed": 0, "restarts": 1, "mesh": "four_mode_core", "angle_unit": "rad",
+    "nm": {"max_evaluations": 20}, "noise": {"shots": "exact", "seed": 0}, "output_dir": "unused",
+}
+TINY_PATHS = [(key,) for key in TINY_CONFIG] + [
+    (key, sub) for key, value in TINY_CONFIG.items() if isinstance(value, dict) for sub in value]
+JSON_SCALARS = st.integers(-3, 3) | st.integers(-3, 3).map(float) | st.sampled_from(
+    [None, True, False, 0.5, math.nan, math.inf, -math.inf, "", "exact", "four_mode_core", "rad", "pc", "sd"])
+JSON_VALUES = JSON_SCALARS | st.lists(JSON_SCALARS, max_size=2) | st.dictionaries(
+    st.text(max_size=3), JSON_SCALARS, max_size=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(path=st.sampled_from(TINY_PATHS), value=JSON_VALUES)
+def test_train_any_one_field_runs_or_names_it(path, value):
+    config = copy.deepcopy(TINY_CONFIG)
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "run"
+        cfg.write_text(json.dumps(config))
+        result = CliRunner().invoke(main, ["train", "--config", str(cfg), "--out", str(out)])
+        if result.exit_code != 0:
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+            assert ".".join(path) in result.output
+            assert not out.exists()
+
+
+def test_importing_the_cli_leaves_out_jsonschema():
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, vclone.cli; sys.exit('jsonschema' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # --------------------------------------------------------------------- train
@@ -244,9 +310,7 @@ def test_validate_count_four_matches_summary(tmp_path, runner):
 def test_validate_uses_the_run_mesh(tmp_path, runner):
     # A 4-cell mesh has 8 phases; validating with the default 12-phase core
     # would reject them.
-    mesh = {"mode_count": 4, "cells": [{"modes": [1, 2]}, {"modes": [0, 1]},
-                                       {"modes": [2, 3]}, {"modes": [1, 2]}],
-            "fixed_couplers": [[0, 1]]}
+    mesh = {**FOUR_CELL_MESH, "fixed_couplers": [[0, 1]]}
     path = write_config(tmp_path / "cfg.json", mesh=mesh, restarts=1)
     out = tmp_path / "run"
     result = runner.invoke(main, ["train", "--config", str(path), "--out", str(out)])

@@ -99,6 +99,12 @@ def test_four_mode_random_params_unitary():
     assert is_unitary(u)
 
 
+@pytest.mark.parametrize("pair", [(0, 2), (3, 4), (0, 1.0), (0.0, 1), (True, 2)])
+def test_mesh_spec_rejects_bad_mode_pair(pair):
+    with pytest.raises(ValueError, match="invalid mode pair"):
+        MeshSpec(mode_count=4, cell_pairs=(pair,))
+
+
 def test_build_mesh_rejects_wrong_arity():
     with pytest.raises(ValueError):
         build_mesh(MeshSpec.four_mode_core(), np.zeros(11))

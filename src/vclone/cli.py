@@ -15,6 +15,7 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -88,6 +89,7 @@ def _mesh(value, path) -> None:
 # The float max bound also turns away NaN, +-Infinity and integers too big for a float.
 _NUMBER = _leaf(lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number")
 _STATE = _object({"theta": _NUMBER, "phi": _NUMBER}, ("theta", "phi"))
+_SHOTS = _leaf(lambda v: v == "exact" or type(v) is int and v >= 1, 'an integer >= 1 or "exact"')
 _CONFIG = _object({
     "task": _leaf(lambda v: v in ("pc", "sd"), '"pc" or "sd"'),
     "seed": _integer(),
@@ -99,37 +101,39 @@ _CONFIG = _object({
         f.name: _integer(0 if f.name == "max_reboots" else 1) if f.type == "int" else _NUMBER
         for f in dataclasses.fields(optimizer.NMConfig) if f.name != "seed"
     }),
-    "noise": _object({
-        "shots": _leaf(lambda v: v == "exact" or type(v) is int and v >= 1, 'an integer >= 1 or "exact"'),
-        "seed": _integer(),
-    }),
+    "noise": _object({"shots": _SHOTS, "seed": _integer()}),
     "restarts": _integer(1),
     "output_dir": _leaf(lambda v: type(v) is str, "a string"),
 }, ("task", "seed"))
 
 
-def check_config(config, seed: int | None = None, shots: str | None = None) -> None:
+def check_config(
+    config, seed: int | None = None, shots: str | None = None
+) -> tuple[MeshSpec, sampler.NoiseConfig, optimizer.NMConfig]:
     """Check each field's JSON type and range, and unknown keys at every level,
-    then build the mesh, noise and Nelder-Mead settings; a bad value fails as
-    ``ConfigError("invalid <json path>: ...")``.  ``train``'s ``--seed`` and
-    ``--shots``, when given, are checked as flags and set in ``config`` first."""
+    then build and return the mesh, noise and Nelder-Mead settings; a bad value
+    fails as ``ConfigError("invalid <json path>: ...")``.  ``train``'s ``--seed``
+    and ``--shots``, when given, are checked as their config fields are and set
+    in ``config`` first."""
     _CONFIG(config, ())
     if seed is not None:
         _integer()(seed, ("--seed",))
         config["seed"] = seed
     if shots is not None:
-        _expect(shots == "exact" or shots.removeprefix("-").isdecimal(), ("--shots",),
-                'an integer or "exact"', shots)
-        config.setdefault("noise", {})["shots"] = shots if shots == "exact" else int(shots)
+        shots = int(shots) if shots.removeprefix("-").isdecimal() else shots
+        _SHOTS(shots, ("--shots",))
+        config.setdefault("noise", {})["shots"] = shots
     if config["task"] == "sd":
         for key in ("lambda", "pair"):
             if key not in config:
                 _fail((key,), 'missing; task "sd" needs it')
+    built = []
     for key, build in (("mesh", mesh_from_config), ("noise", noise_from_config), ("nm", nm_from_config)):
         try:
-            build(config)
+            built.append(build(config))
         except (ValueError, TypeError) as exc:
             _fail((key,), str(exc))
+    return tuple(built)
 
 
 def load_config(path: Path) -> tuple[dict, bytes]:
@@ -137,6 +141,13 @@ def load_config(path: Path) -> tuple[dict, bytes]:
 
     A bad value fails as ``ConfigError("invalid <json path>: ...")``.
     """
+    config, raw = _read_config(path)
+    check_config(config)
+    return config, raw
+
+
+def _read_config(path: Path) -> tuple[dict, bytes]:
+    """Read and parse an experiment config, unchecked; returns (config, raw bytes)."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -145,7 +156,6 @@ def load_config(path: Path) -> tuple[dict, bytes]:
         config = json.loads(raw)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    check_config(config)
     return config, raw
 
 
@@ -203,6 +213,13 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _write_json(path: Path, data: dict) -> None:
+    """Strict JSON: a non-finite float field, as left by restarts that all stopped on a
+    non-finite cost, is written as null."""
+    data = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in data.items()}
+    path.write_text(json.dumps(data, indent=2, allow_nan=False) + "\n")
+
+
 def _echo_aborted(path: Path, trace: optimizer.OptimizationTrace) -> None:
     """Print 'restart NNN aborted: <error>' for a restart stopped by a non-finite cost."""
     if trace.error:
@@ -224,11 +241,8 @@ def main() -> None:
               help="Override the shot budget per evaluation ('exact' or an integer).")
 def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: str | None) -> None:
     """Run a training task and persist traces, summary, and best parameters."""
-    config, _ = load_config(config_path)
-    check_config(config, seed, shots)
-    spec = mesh_from_config(config)
-    noise = noise_from_config(config)
-    cfg = nm_from_config(config)
+    config, _ = _read_config(config_path)
+    spec, noise, cfg = check_config(config, seed, shots)
     restarts = config.get("restarts", 1)
 
     if config["task"] == "pc":
@@ -271,7 +285,7 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
         "n_reboots": best.n_reboots,
     }
     params_path = run_dir / "best_params.json"
-    params_path.write_text(json.dumps(best_params, indent=2) + "\n")
+    _write_json(params_path, best_params)
     manifest.add_file(params_path)
 
     best_cost_noiseless, outcomes = exact.cost(best.best_point)
@@ -290,7 +304,7 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
         "total_reboots": sum(t.n_reboots for t in traces),
     }
     summary_json = run_dir / "summary.json"
-    summary_json.write_text(json.dumps(summary, indent=2) + "\n")
+    _write_json(summary_json, summary)
     manifest.add_file(summary_json)
     manifest.write()
 

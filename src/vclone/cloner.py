@@ -65,49 +65,16 @@ class QubitState:
         return cls(theta=0.0, phi=0.0)
 
 
-@dataclass(frozen=True)
-class RailMap:
-    """Mode assignment of the four dual-rail roles; (|0> rail, |1> rail) each."""
-
-    clone1_rails: tuple[int, int] = (0, 1)
-    clone2_rails: tuple[int, int] = (2, 3)
-    input_rails: tuple[int, int] = (1, 2)
-    ancilla_rails: tuple[int, int] = (3, 0)
-
-    def __post_init__(self) -> None:
-        for rails in (self.clone1_rails, self.clone2_rails, self.input_rails, self.ancilla_rails):
-            if rails[0] == rails[1]:
-                raise ValueError(f"rail pair {rails} must use distinct modes")
-        modes = set(self.clone1_rails) | set(self.clone2_rails)
-        modes |= set(self.input_rails) | set(self.ancilla_rails)
-        if modes != set(range(4)):
-            raise ValueError("rail pairs must jointly cover modes 0..3")
-        if set(self.clone1_rails) & set(self.clone2_rails):
-            raise ValueError("clone rail pairs must be disjoint")
-        if self.ancilla_rails[0] in self.input_rails:
-            raise ValueError("the ancilla photon must enter outside the input rails")
-
-    def input_occupation(self) -> tuple[int, ...]:
-        """Two-photon injection pattern: one photon on each |0> injection rail."""
-        occ = [0, 0, 0, 0]
-        occ[self.input_rails[0]] += 1
-        occ[self.ancilla_rails[0]] += 1
-        return tuple(occ)
-
-    def coincidence_rule(self) -> PostselectionRule:
-        return PostselectionRule.coincidence(self.clone1_rails, self.clone2_rails)
-
-    def swapped_clones(self) -> "RailMap":
-        """Exchange the roles of clone 1 and clone 2."""
-        return RailMap(
-            clone1_rails=self.clone2_rails,
-            clone2_rails=self.clone1_rails,
-            input_rails=self.input_rails,
-            ancilla_rails=self.ancilla_rails,
-        )
-
-
-DEFAULT_RAILS = RailMap()
+#: The device frame of the module docstring: each qubit's (|0> mode, |1> mode).
+CLONE1_RAILS = (0, 1)
+CLONE2_RAILS = (2, 3)
+INPUT_RAILS = (1, 2)
+#: The ancilla photon's injection mode (its |0> rail).
+ANCILLA_MODE = 3
+#: One photon on the input |0> rail and one on the ancilla mode.
+INPUT_OCCUPATION = (0, 1, 0, 1)
+#: The accepted occupations in logical order (clone-1 bit, clone-2 bit) = 00, 01, 10, 11.
+COINCIDENCE_PATTERNS = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -119,47 +86,13 @@ class CloningOutcome:
     p_post: float
 
 
-def _embed_pair(block: np.ndarray, rails: tuple[int, int], m: int) -> np.ndarray:
-    # Rails are given in logical order (|0> rail first) and need not be
-    # adjacent or sorted; scatter the block accordingly.
-    u = np.eye(m, dtype=complex)
-    idx = np.array(rails)
-    u[np.ix_(idx, idx)] = block
+def prep_unitary(psi: QubitState) -> np.ndarray:
+    """Preparation stage on the input rails, |0> -> psi; the ancilla is untouched."""
+    c, s = math.cos(psi.theta), math.sin(psi.theta)
+    e = np.exp(1j * psi.phi)
+    u = np.eye(4, dtype=complex)
+    u[np.ix_(INPUT_RAILS, INPUT_RAILS)] = [[c, -s / e], [s * e, c]]
     return u
-
-
-@dataclass(frozen=True)
-class PrepPhases:
-    """Preparation stage: |0> -> cos(theta)|0> + sin(theta) e^{i phi}|1>."""
-
-    theta: float
-    phi: float
-    rails: tuple[int, int] = DEFAULT_RAILS.input_rails
-
-    def rotation(self) -> np.ndarray:
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        e = np.exp(1j * self.phi)
-        return np.array([[c, -s / e], [s * e, c]], dtype=complex)
-
-    def stage_unitary(self, m: int = 4) -> np.ndarray:
-        return _embed_pair(self.rotation(), self.rails, m)
-
-
-def prep_phases(psi: QubitState, rails: RailMap = DEFAULT_RAILS) -> PrepPhases:
-    """Preparation settings writing psi on the input rails (ancilla untouched)."""
-    return PrepPhases(theta=psi.theta, phi=psi.phi, rails=rails.input_rails)
-
-
-def _coincidence_patterns(rails: RailMap) -> list[tuple[int, ...]]:
-    # Logical order (a, b): a = clone-1 bit, b = clone-2 bit.
-    patterns = []
-    for a in (0, 1):
-        for b in (0, 1):
-            occ = [0, 0, 0, 0]
-            occ[rails.clone1_rails[a]] += 1
-            occ[rails.clone2_rails[b]] += 1
-            patterns.append(tuple(occ))
-    return patterns
 
 
 def four_mode_spec(spec: MeshSpec | None) -> MeshSpec:
@@ -189,18 +122,17 @@ class StateStack(tuple):
         return stack
 
 
-def _coincidence_amplitudes(u: np.ndarray, kets: np.ndarray, rails: RailMap) -> np.ndarray:
+def _coincidence_amplitudes(u: np.ndarray, kets: np.ndarray) -> np.ndarray:
     """Unnormalized accepted amplitudes A[..., s, a, b] of kets (S, 2) through unitaries (..., 4, 4).
 
-    With v = U ket on the input rails and w = U[:, ancilla |0> rail], one
-    photon on clone-1 rail a and one on clone-2 rail b has the 2x2 permanent
-    v[c1_a] w[c2_b] + v[c2_b] w[c1_a] as amplitude.
+    With v = U ket on the input rails and w = U[:, ANCILLA_MODE], one photon
+    on clone-1 rail a and one on clone-2 rail b has the 2x2 permanent
+    v[a] w[2 + b] + v[2 + b] w[a] as amplitude.
     """
-    # Rows c1_0, c1_1, c2_0, c2_1 of U, with an axis for the states.
-    u = np.asarray(u)[..., None, [*rails.clone1_rails, *rails.clone2_rails], :]
-    (i0, i1), kets = rails.input_rails, np.asarray(kets)
-    v = u[..., i0] * kets[..., 0, None] + u[..., i1] * kets[..., 1, None]
-    w = u[..., rails.ancilla_rails[0]]
+    # Rows 0..3 of U are the clone rails (clone 1, then clone 2); add an axis for the states.
+    u, kets = np.asarray(u)[..., None, :, :], np.asarray(kets)
+    v = u[..., INPUT_RAILS[0]] * kets[..., 0, None] + u[..., INPUT_RAILS[1]] * kets[..., 1, None]
+    w = u[..., ANCILLA_MODE]
     return v[..., :2, None] * w[..., None, 2:] + w[..., :2, None] * v[..., None, 2:]
 
 
@@ -220,7 +152,6 @@ def clone_outcomes(
     params: np.ndarray | list[float],
     states: list[QubitState],
     spec: MeshSpec | None = None,
-    rails: RailMap = DEFAULT_RAILS,
 ) -> np.ndarray:
     """Closed-form outcome of each state at phase vectors (..., n_phases), from one mesh build.
 
@@ -229,7 +160,7 @@ def clone_outcomes(
     ``run_cloner`` to rounding, zero support (all zeros) included.
     """
     kets = StateStack(states).kets
-    amps = _coincidence_amplitudes(build_mesh(four_mode_spec(spec), params), kets, rails)
+    amps = _coincidence_amplitudes(build_mesh(four_mode_spec(spec), params), kets)
     bra = kets.conj()[:, :, None]
     p_post = (np.abs(amps) ** 2).sum(axis=(-2, -1))
     weight1 = (np.abs(bra[:, 0] * amps[..., 0, :] + bra[:, 1] * amps[..., 1, :]) ** 2).sum(axis=-1)
@@ -241,7 +172,6 @@ def run_cloner(
     params: np.ndarray | list[float],
     psi: QubitState,
     spec: MeshSpec | None = None,
-    rails: RailMap = DEFAULT_RAILS,
 ) -> tuple[FockAmplitudes | None, CloningOutcome]:
     """Evolve the two-photon input and post-select on the coincidence rule.
 
@@ -250,40 +180,36 @@ def run_cloner(
     and the cloning outcome.  Zero-support configurations report
     P_post = 0 with both fidelities 0, keeping cost functions finite.
     """
-    spec = spec or MeshSpec.four_mode_core()
-    u = build_mesh(spec, params) @ prep_phases(psi, rails).stage_unitary(spec.mode_count)
-    state = evolve(rails.input_occupation(), u)
-    joint, p_post = postselect(state, rails.coincidence_rule())
+    u = build_mesh(four_mode_spec(spec), params) @ prep_unitary(psi)
+    state = evolve(INPUT_OCCUPATION, u)
+    joint, p_post = postselect(state, PostselectionRule.coincidence(CLONE1_RAILS, CLONE2_RAILS))
     if joint is None:
         return None, CloningOutcome(f1=0.0, f2=0.0, p_post=0.0)
-    rho1 = reduced_clone(joint, 1, rails)
-    rho2 = reduced_clone(joint, 2, rails)
+    rho1 = reduced_clone(joint, 1)
+    rho2 = reduced_clone(joint, 2)
     return joint, CloningOutcome(
         f1=fidelity(rho1, psi), f2=fidelity(rho2, psi), p_post=p_post
     )
 
 
-def joint_logical_state(joint: FockAmplitudes, rails: RailMap = DEFAULT_RAILS) -> np.ndarray:
+def joint_logical_state(joint: FockAmplitudes) -> np.ndarray:
     """Post-selected joint state as a 2x2 amplitude array psi[a, b].
 
     Index a is the clone-1 logical bit, b the clone-2 bit.  Raises if the
     joint state has support outside the coincidence patterns.
     """
-    patterns = _coincidence_patterns(rails)
-    amps = np.array([joint.amplitude(p) for p in patterns]).reshape(2, 2)
+    amps = np.array([joint.amplitude(p) for p in COINCIDENCE_PATTERNS]).reshape(2, 2)
     support = float(np.sum(np.abs(amps) ** 2))
     if abs(support - joint.total_probability()) > 1e-10:
         raise ValueError("joint state has support outside the coincidence patterns")
     return amps
 
 
-def reduced_clone(
-    joint: FockAmplitudes, which: int, rails: RailMap = DEFAULT_RAILS
-) -> np.ndarray:
+def reduced_clone(joint: FockAmplitudes, which: int) -> np.ndarray:
     """Reduced density matrix of one clone (partial trace over the other)."""
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    psi2 = joint_logical_state(joint, rails)
+    psi2 = joint_logical_state(joint)
     if which == 1:
         return psi2 @ psi2.conj().T
     return psi2.T @ psi2.conj()
@@ -314,7 +240,6 @@ def measurement_path_probabilities(
     params: np.ndarray | list[float],
     states: list[QubitState],
     spec: MeshSpec | None = None,
-    rails: RailMap = DEFAULT_RAILS,
 ) -> np.ndarray:
     """Coincidence-pattern probabilities with the measurement stage applied.
 
@@ -325,7 +250,7 @@ def measurement_path_probabilities(
     on each clone pair, a row is |(W x W) A|^2 of the kernel amplitudes.
     """
     stack = StateStack(states)
-    amps = _coincidence_amplitudes(build_mesh(four_mode_spec(spec), params), stack.kets, rails)
+    amps = _coincidence_amplitudes(build_mesh(four_mode_spec(spec), params), stack.kets)
     w = stack.rotations
     return (np.abs(w @ amps @ w.transpose(0, 2, 1)) ** 2).reshape(*amps.shape[:-2], 4)
 
@@ -334,14 +259,13 @@ def measurement_path_outcome(
     params: np.ndarray | list[float],
     psi: QubitState,
     spec: MeshSpec | None = None,
-    rails: RailMap = DEFAULT_RAILS,
 ) -> CloningOutcome:
     """Noiseless outcome computed through the measurement stage.
 
     F_i is the conditional probability that the pair-i photon exits the
     success rail given a coincidence; equals the density-matrix path.
     """
-    p = measurement_path_probabilities(params, [psi], spec, rails)[0]
+    p = measurement_path_probabilities(params, [psi], spec)[0]
     return CloningOutcome(*map(float, _outcome(p.sum(), p[0] + p[1], p[0] + p[2])))
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import cloner
-from .cloner import QubitState, RailMap, DEFAULT_RAILS, clone_outcomes
+from .cloner import QubitState, clone_outcomes
 from .cloner import run_cloner  # noqa: F401  the oracle, patched here by perfbench/spans.py
 from .mesh import MeshSpec
 
@@ -398,15 +398,14 @@ def _symmetric_terms(f1: float, f2: float) -> float:
 
 
 def _cloning_task(name: str, states: dict[str, QubitState], lam: float | None,
-                  spec: MeshSpec | None, rails: RailMap, evaluator: Evaluator | None) -> Task:
+                  spec: MeshSpec | None, evaluator: Evaluator | None) -> Task:
     """Symmetric cloning cost summed over the labelled states, plus lam times the
     symmetric terms of the first two states' P_post when lam is set.  One
     evaluator call (default: the exact kernel) covers every point and state.
     """
     spec = cloner.four_mode_spec(spec)
     kets = cloner.StateStack(states.values())
-    evaluate = evaluator or (
-        lambda params, states, restarts=None: clone_outcomes(params, states, spec=spec, rails=rails))
+    evaluate = evaluator or (lambda params, states, restarts=None: clone_outcomes(params, states, spec=spec))
 
     def costs(points: np.ndarray, restarts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         outs = evaluate(points, kets, restarts)
@@ -424,18 +423,14 @@ def _cloning_task(name: str, states: dict[str, QubitState], lam: float | None,
     return Task(name=name, dim=spec.n_phases, costs=costs, states=tuple(states))
 
 
-def pc_task(
-    spec: MeshSpec | None = None,
-    rails: RailMap = DEFAULT_RAILS,
-    evaluator: Evaluator | None = None,
-) -> Task:
+def pc_task(spec: MeshSpec | None = None, evaluator: Evaluator | None = None) -> Task:
     """Equatorial-cloning training task over the four-phase training set.
 
     ``evaluator`` defaults to the exact noiseless kernel; pass a sampling
     evaluator (see vclone.sampler) to train under shot noise.
     """
     states = {f"phi={phi:.4f}": QubitState.equatorial(phi) for phi in cloner.TRAINING_PHASES}
-    return _cloning_task("pc", states, None, spec, rails, evaluator)
+    return _cloning_task("pc", states, None, spec, evaluator)
 
 
 def sd_task(
@@ -443,13 +438,12 @@ def sd_task(
     psi_b: QubitState,
     lam: float = 1.0,
     spec: MeshSpec | None = None,
-    rails: RailMap = DEFAULT_RAILS,
     evaluator: Evaluator | None = None,
 ) -> Task:
     """Two-state cloning task with success-probability regularization."""
     if lam < 0:
         raise ValueError("regularization weight must be non-negative")
-    return _cloning_task("sd", {"A": psi_a, "B": psi_b}, lam, spec, rails, evaluator)
+    return _cloning_task("sd", {"A": psi_a, "B": psi_b}, lam, spec, evaluator)
 
 
 def train(
@@ -492,7 +486,6 @@ def validate_sweep(
     params: np.ndarray | list[float],
     count: int = 50,
     spec: MeshSpec | None = None,
-    rails: RailMap = DEFAULT_RAILS,
 ) -> list[tuple[float, float, float, float]]:
     """Evaluate the circuit on ``count`` evenly spaced equatorial states.
 
@@ -501,5 +494,5 @@ def validate_sweep(
     """
     phis = [2.0 * math.pi * k / count for k in range(count)]
     states = [QubitState.equatorial(phi) for phi in phis]
-    outs = clone_outcomes(np.asarray(params, dtype=float), states, spec, rails)
+    outs = clone_outcomes(np.asarray(params, dtype=float), states, spec)
     return [(phi, f1, f2, p) for phi, (f1, f2, p) in zip(phis, outs.tolist())]

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cloner import QubitState, RailMap, DEFAULT_RAILS, four_mode_spec
+from .cloner import QubitState, four_mode_spec
 from .cloner import measurement_path_probabilities
 from .mesh import MeshSpec
 
@@ -130,11 +130,7 @@ def estimate_outcome(counts: np.ndarray | list[int], shots: int) -> EstimatedOut
                             row.n_coincidences.item(), shots, row.valid.item())
 
 
-def sampled_evaluator(
-    noise: NoiseConfig,
-    spec: MeshSpec | None = None,
-    rails: RailMap = DEFAULT_RAILS,
-) -> Callable[..., np.ndarray]:
+def sampled_evaluator(noise: NoiseConfig, spec: MeshSpec | None = None) -> Callable[..., np.ndarray]:
     """Evaluator (params, states, restarts=None) -> (..., S, 3) outcomes, shaped like
     ``clone_outcomes``, for a noisy run; an exact run uses the kernel itself.
 
@@ -153,7 +149,7 @@ def sampled_evaluator(
 
     def evaluate(params: np.ndarray, states: Sequence[QubitState],
                  restarts: Sequence[int] | None = None) -> np.ndarray:
-        probs = measurement_path_probabilities(params, states, spec, rails)
+        probs = measurement_path_probabilities(params, states, spec)
         rows = probs.reshape(-1, *probs.shape[-2:])
         owners = np.zeros(len(rows), dtype=int) if restarts is None else np.asarray(restarts)
         for r in set(owners.tolist()) - rngs.keys():

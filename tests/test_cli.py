@@ -108,7 +108,7 @@ FOUR_CELL_MESH = {"mode_count": 4, "cells": [{"modes": [1, 2]}, {"modes": [0, 1]
     "overrides, args, field",
     [
         ({}, ["--shots", "abc"], "--shots"),
-        ({}, ["--shots", "0"], "noise"),
+        ({}, ["--shots", "0"], "--shots"),
         ({"nm": {"initial_edge": -1}}, [], "nm"),
         ({"mesh": FIVE_MODE_MESH}, [], "mesh"),
         ({"mesh": {"mode_count": 4, "cells": [{"modes": 1}]}}, [], "mesh"),
@@ -443,6 +443,23 @@ def test_train_prints_aborted_restart(tmp_path, runner, monkeypatch):
     result = runner.invoke(main, ["train", "--config", str(path), "--out", str(tmp_path / "run")])
     assert result.exit_code == 0, result.output
     assert "restart 000 aborted: non-finite cost nan" in result.output
+
+
+def test_train_writes_strict_json_when_every_restart_aborts(tmp_path, runner, monkeypatch):
+    monkeypatch.setattr(optimizer, "clone_outcomes",
+                        lambda params, states, **kw: np.full((len(params), len(states), 3), np.nan))
+    path = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    params = json.loads((out / "best_params.json").read_text(), parse_constant=reject)
+    assert summary["best_cost_trace"] is None and summary["best_cost_noiseless"] is None
+    assert params["cost"] is None
 
 
 def _report_tables(runner, run_dir):

@@ -5,24 +5,22 @@ import pytest
 
 from vclone import cloner
 from vclone.cloner import (
-    DEFAULT_RAILS,
     DEFAULT_SD_PAIRS,
     SEMICLASSICAL_FIDELITY,
     CloningOutcome,
     QubitState,
-    RailMap,
     StateStack,
     design_identity_check,
     fidelity,
     fixed_basis_measure_and_prepare,
     joint_logical_state,
     measurement_path_outcome,
-    prep_phases,
+    prep_unitary,
     reduced_clone,
     run_cloner,
     semiclassical_monte_carlo,
 )
-from vclone.fock import FockAmplitudes, evolve, postselect
+from vclone.fock import FockAmplitudes, PostselectionRule, evolve, postselect
 from vclone.mesh import MeshSpec
 from vclone.optimizer import pc_task, sd_task
 
@@ -45,45 +43,42 @@ def test_training_set_is_four_equatorial_states():
         assert psi.theta == np.pi / 4
 
 
-def test_railmap_defaults_cover_modes():
-    rails = RailMap()
-    assert rails.input_occupation() == (0, 1, 0, 1)
-    with pytest.raises(ValueError):
-        RailMap(clone1_rails=(0, 0))
-    with pytest.raises(ValueError):
-        # mode 3 left uncovered
-        RailMap(
-            clone1_rails=(0, 1),
-            clone2_rails=(1, 2),
-            input_rails=(1, 2),
-            ancilla_rails=(2, 0),
-        )
+def test_device_frame_constants():
+    # One photon on the input |0> rail and one on the ancilla mode; pattern (a, b)
+    # puts one photon on clone-1 rail a and one on clone-2 rail b.
+    occupation = [0, 0, 0, 0]
+    for mode in (cloner.INPUT_RAILS[0], cloner.ANCILLA_MODE):
+        occupation[mode] += 1
+    assert cloner.INPUT_OCCUPATION == tuple(occupation) == (0, 1, 0, 1)
+    assert cloner.CLONE1_RAILS + cloner.CLONE2_RAILS == (0, 1, 2, 3)  # the kernel's rows of U
+    assert cloner.ANCILLA_MODE not in cloner.INPUT_RAILS
+    assert cloner.COINCIDENCE_PATTERNS == tuple(_pattern(a, b) for a in (0, 1) for b in (0, 1))
 
 
 # -------------------------------------------------------------- preparation
 
 def test_prep_zero_state_stays_on_rail():
-    stage = prep_phases(QubitState.zero()).stage_unitary(4)
+    stage = prep_unitary(QubitState.zero())
     state = evolve((0, 1, 0, 0), stage)
     assert state.amplitude((0, 1, 0, 0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_prep_plus_state_balanced():
-    stage = prep_phases(QubitState.equatorial(0.0)).stage_unitary(4)
+    stage = prep_unitary(QubitState.equatorial(0.0))
     state = evolve((0, 1, 0, 0), stage)
     assert state.amplitude((0, 1, 0, 0)) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert state.amplitude((0, 0, 1, 0)) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
 
 def test_prep_equatorial_y_state():
-    stage = prep_phases(QubitState(np.pi / 4, np.pi / 2)).stage_unitary(4)
+    stage = prep_unitary(QubitState(np.pi / 4, np.pi / 2))
     state = evolve((0, 1, 0, 0), stage)
     assert state.amplitude((0, 1, 0, 0)) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert state.amplitude((0, 0, 1, 0)) == pytest.approx(1j / np.sqrt(2), abs=1e-12)
 
 
 def test_prep_leaves_ancilla_alone():
-    stage = prep_phases(QubitState.equatorial(1.0)).stage_unitary(4)
+    stage = prep_unitary(QubitState.equatorial(1.0))
     state = evolve((0, 0, 0, 1), stage)
     assert state.amplitude((0, 0, 0, 1)) == pytest.approx(1.0, abs=1e-12)
 
@@ -100,9 +95,8 @@ def test_identity_variational_on_plus_state():
     # rails, the ancilla photon stays on mode 3; only the (0,1,0,1)
     # component passes the coincidence rule.
     psi = QubitState.equatorial(0.0)
-    u = prep_phases(psi).stage_unitary(4)
-    state = evolve(DEFAULT_RAILS.input_occupation(), u)
-    joint, p_post = postselect(state, DEFAULT_RAILS.coincidence_rule())
+    state = evolve(cloner.INPUT_OCCUPATION, prep_unitary(psi))
+    joint, p_post = postselect(state, PostselectionRule.coincidence(cloner.CLONE1_RAILS, cloner.CLONE2_RAILS))
     assert p_post == pytest.approx(0.5, abs=1e-12)
     rho1 = reduced_clone(joint, 1)
     # Clone 1 collapses onto logical |1> (its photon sits on mode 1).
@@ -133,15 +127,17 @@ def test_run_cloner_requires_twelve_phases():
 
 # ------------------------------------------------------------ reduced states
 
+def _pattern(a, b):
+    """Occupation of one photon on clone-1 rail a and one on clone-2 rail b."""
+    occ = [0, 0, 0, 0]
+    occ[cloner.CLONE1_RAILS[a]] += 1
+    occ[cloner.CLONE2_RAILS[b]] += 1
+    return tuple(occ)
+
+
 def _joint_from_logical(matrix):
     # Lift a 2x2 logical amplitude array onto the coincidence patterns.
-    amps = {}
-    for a in (0, 1):
-        for b in (0, 1):
-            occ = [0, 0, 0, 0]
-            occ[DEFAULT_RAILS.clone1_rails[a]] += 1
-            occ[DEFAULT_RAILS.clone2_rails[b]] += 1
-            amps[tuple(occ)] = complex(matrix[a][b])
+    amps = {_pattern(a, b): complex(matrix[a][b]) for a in (0, 1) for b in (0, 1)}
     return FockAmplitudes(n=2, m=4, amplitudes=amps)
 
 
@@ -220,8 +216,8 @@ def test_dual_path_fidelity_agreement(seed):
 # Task.cost is the one definition of each cost; the expected values are sums of
 # run_cloner (Fock oracle) outcomes assembled here.
 
-def cost_pc(params, rails=DEFAULT_RAILS):
-    return pc_task(rails=rails).cost(params)[0]
+def cost_pc(params):
+    return pc_task().cost(params)[0]
 
 
 def cost_sd(params, psi_a, psi_b, lam):
@@ -252,10 +248,11 @@ def test_cost_pc_all_perfect_is_zero():
 
 
 def test_cost_pc_swap_symmetry():
+    # Exchanging the roles of clone 1 and clone 2 (F1 <-> F2) leaves the cost unchanged.
     rng = np.random.default_rng(10)
     params = _random_params(rng)
-    swapped = DEFAULT_RAILS.swapped_clones()
-    assert cost_pc(params) == pytest.approx(cost_pc(params, rails=swapped), abs=1e-12)
+    swapped = lambda params, states, restarts: cloner.clone_outcomes(params, states)[..., [1, 0, 2]]
+    assert cost_pc(params) == pytest.approx(pc_task(evaluator=swapped).cost(params)[0], abs=1e-12)
 
 
 def test_cost_sd_hand_assembled():

@@ -14,13 +14,12 @@ from hypothesis import strategies as st
 
 from vclone import cloner
 from vclone.cloner import (
-    DEFAULT_RAILS,
     CloningOutcome,
     QubitState,
     clone_outcomes,
     measurement_path_outcome,
     measurement_path_probabilities,
-    prep_phases,
+    prep_unitary,
     run_cloner,
 )
 from vclone.fock import evolve
@@ -37,7 +36,6 @@ CUSTOM_MESH = MeshSpec(
 
 _angle = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 _states = st.lists(st.builds(QubitState, _angle, _angle), min_size=1, max_size=5)
-_rails = st.sampled_from([DEFAULT_RAILS, DEFAULT_RAILS.swapped_clones()])
 _specs = st.sampled_from([MeshSpec.four_mode_core(), CUSTOM_MESH])
 
 
@@ -57,17 +55,6 @@ _random_specs = st.builds(
 _random_spec_and_params = _random_specs.flatmap(lambda spec: st.tuples(st.just(spec), _params(spec)))
 
 
-@st.composite
-def _random_rails(draw):
-    """Any RailMap in the kernel's domain: disjoint clone pairs, ancilla |0> off the input rails."""
-    c = draw(st.permutations(range(4)))
-    i = draw(st.permutations(range(4)))
-    a0 = draw(st.sampled_from(i[2:]))
-    a1 = draw(st.sampled_from([m for m in range(4) if m != a0]))
-    return cloner.RailMap(clone1_rails=(c[0], c[1]), clone2_rails=(c[2], c[3]),
-                          input_rails=(i[0], i[1]), ancilla_rails=(a0, a1))
-
-
 def _assert_outcomes_close(got: CloningOutcome, want: CloningOutcome) -> None:
     assert abs(got.f1 - want.f1) < TOL
     assert abs(got.f2 - want.f2) < TOL
@@ -75,13 +62,13 @@ def _assert_outcomes_close(got: CloningOutcome, want: CloningOutcome) -> None:
 
 
 @settings(max_examples=200, deadline=None)
-@given(_spec_and_params, _states, _rails)
-def test_kernel_matches_run_cloner(spec_params, states, rails):
+@given(_spec_and_params, _states)
+def test_kernel_matches_run_cloner(spec_params, states):
     spec, params = spec_params
-    outs = clone_outcomes(params, states, spec, rails)
+    outs = clone_outcomes(params, states, spec)
     assert outs.shape == (len(states), 3)
     for psi, row in zip(states, outs):
-        _, oracle = run_cloner(params, psi, spec, rails)
+        _, oracle = run_cloner(params, psi, spec)
         _assert_outcomes_close(CloningOutcome(*row), oracle)
         assert np.all((0.0 <= row) & (row <= 1.0))
 
@@ -93,51 +80,50 @@ def measurement_rotation(psi):
     return np.array([[c, s / e], [-s * e, c]], dtype=complex)
 
 
-def _measured_oracle(params, psi, spec, rails):
+def _measured_oracle(params, psi, spec):
     """Coincidence probabilities of the full prep -> mesh -> measurement unitary via fock.evolve."""
-    w = measurement_rotation(psi)
-    meas = cloner._embed_pair(w, rails.clone2_rails, 4) @ cloner._embed_pair(w, rails.clone1_rails, 4)
-    u = meas @ build_mesh(spec, params) @ prep_phases(psi, rails).stage_unitary(4)
-    state = evolve(rails.input_occupation(), u)
-    return np.array([state.probability(p) for p in cloner._coincidence_patterns(rails)])
+    meas = np.eye(4, dtype=complex)
+    for rails in (cloner.CLONE1_RAILS, cloner.CLONE2_RAILS):
+        meas[np.ix_(rails, rails)] = measurement_rotation(psi)
+    state = evolve(cloner.INPUT_OCCUPATION, meas @ build_mesh(spec, params) @ prep_unitary(psi))
+    return np.array([state.probability(p) for p in cloner.COINCIDENCE_PATTERNS])
 
 
 @settings(max_examples=200, deadline=None)
-@given(_spec_and_params, _states.map(lambda s: s[0]), _rails)
-def test_measurement_probabilities_match_evolve(spec_params, psi, rails):
+@given(_spec_and_params, _states.map(lambda s: s[0]))
+def test_measurement_probabilities_match_evolve(spec_params, psi):
     spec, params = spec_params
-    oracle = _measured_oracle(params, psi, spec, rails)
-    got = measurement_path_probabilities(params, [psi], spec, rails)[0]
+    oracle = _measured_oracle(params, psi, spec)
+    got = measurement_path_probabilities(params, [psi], spec)[0]
     assert np.max(np.abs(got - oracle)) < TOL
-    _assert_outcomes_close(measurement_path_outcome(params, psi, spec, rails),
-                           run_cloner(params, psi, spec, rails)[1])
+    _assert_outcomes_close(measurement_path_outcome(params, psi, spec), run_cloner(params, psi, spec)[1])
 
 
 @settings(max_examples=200, deadline=None)
-@given(_random_spec_and_params, _states, _random_rails())
-def test_batched_measurement_probabilities_match_evolve(spec_params, states, rails):
+@given(_random_spec_and_params, _states)
+def test_batched_measurement_probabilities_match_evolve(spec_params, states):
     # One mesh build for the whole list; every row must equal its state's oracle.
     spec, params = spec_params
-    got = measurement_path_probabilities(params, states, spec, rails)
+    got = measurement_path_probabilities(params, states, spec)
     assert got.shape == (len(states), 4)
     for row, psi in zip(got, states):
-        assert np.max(np.abs(row - _measured_oracle(params, psi, spec, rails))) < TOL
+        assert np.max(np.abs(row - _measured_oracle(params, psi, spec))) < TOL
 
 
 @settings(max_examples=100, deadline=None)
-@given(_random_specs, st.integers(1, 6), st.integers(0, 2**32 - 1), _states, _random_rails())
-def test_batched_kernel_rows_equal_single_point_calls(spec, batch, seed, states, rails):
+@given(_random_specs, st.integers(1, 6), st.integers(0, 2**32 - 1), _states)
+def test_batched_kernel_rows_equal_single_point_calls(spec, batch, seed, states):
     # A (B, n_phases) stack gives (B, S, 3) outcomes and (B, S, 4) probabilities;
     # each row is bitwise the call on its own phase vector.
     params = np.random.default_rng(seed).uniform(-10.0, 10.0, (batch, spec.n_phases))
-    singles = np.stack([clone_outcomes(p, states, spec, rails) for p in params])
-    batched = clone_outcomes(params, states, spec, rails)
+    singles = np.stack([clone_outcomes(p, states, spec) for p in params])
+    batched = clone_outcomes(params, states, spec)
     assert batched.shape == (batch, len(states), 3)
     assert np.array_equal(batched, singles)
-    stacked = measurement_path_probabilities(params, states, spec, rails)
+    stacked = measurement_path_probabilities(params, states, spec)
     assert stacked.shape == (batch, len(states), 4)
     for p, rows in zip(params, stacked):
-        assert np.array_equal(rows, measurement_path_probabilities(p, states, spec, rails))
+        assert np.array_equal(rows, measurement_path_probabilities(p, states, spec))
 
 
 def test_state_stack_is_built_once():
@@ -165,14 +151,14 @@ def test_measurement_probabilities_of_no_states():
 
 
 @settings(max_examples=100, deadline=None)
-@given(_spec_and_params, _states, _rails)
-def test_kernel_amplitudes_match_evolve(spec_params, states, rails):
+@given(_spec_and_params, _states)
+def test_kernel_amplitudes_match_evolve(spec_params, states):
     spec, params = spec_params
     mesh = build_mesh(spec, params)
     for psi in states:
-        got = np.ravel(cloner._coincidence_amplitudes(mesh.tolist(), psi.ket(), rails))
-        state = evolve(rails.input_occupation(), mesh @ prep_phases(psi, rails).stage_unitary(4))
-        oracle = [state.amplitude(p) for p in cloner._coincidence_patterns(rails)]
+        got = np.ravel(cloner._coincidence_amplitudes(mesh.tolist(), psi.ket()))
+        state = evolve(cloner.INPUT_OCCUPATION, mesh @ prep_unitary(psi))
+        oracle = [state.amplitude(p) for p in cloner.COINCIDENCE_PATTERNS]
         assert np.max(np.abs(got - oracle)) < TOL
 
 
@@ -203,10 +189,3 @@ def test_kernel_rejects_non_four_mode_mesh():
         clone_outcomes(np.zeros(2), [QubitState.zero()], spec)
     with pytest.raises(ValueError, match="mode_count 4"):
         measurement_path_probabilities(np.zeros(2), [QubitState.zero()], spec)[0]
-
-
-def test_railmap_rejects_maps_outside_the_kernel_domain():
-    with pytest.raises(ValueError, match="disjoint"):
-        cloner.RailMap(clone1_rails=(0, 1), clone2_rails=(1, 2), input_rails=(2, 3), ancilla_rails=(3, 0))
-    with pytest.raises(ValueError, match="ancilla"):
-        cloner.RailMap(input_rails=(1, 2), ancilla_rails=(2, 0))

@@ -511,7 +511,7 @@ def test_validate_sweep_count_four_matches_training_set():
 
 def test_validate_sweep_custom_evaluator(monkeypatch):
     # The sweep's rows are the kernel's outcomes, state by state.
-    stub = lambda params, states, spec, rails: np.tile([0.9, 0.8, 0.5], (len(states), 1))
+    stub = lambda params, states, spec: np.tile([0.9, 0.8, 0.5], (len(states), 1))
     monkeypatch.setattr(optimizer, "clone_outcomes", stub)
     rows = validate_sweep(np.zeros(12), count=5)
     assert all(r[1:] == (0.9, 0.8, 0.5) for r in rows)

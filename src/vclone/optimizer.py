@@ -15,7 +15,6 @@ import base64
 import json
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,6 +30,11 @@ TRACE_SCHEMA_VERSION = 2
 
 #: Simplex diameter below which the search is considered converged.
 CONVERGENCE_DIAMETER = 1e-8
+
+#: Rows a run's trace columns start with (its budget, if smaller), so the paper's
+#: 2500-evaluation budget never grows them; a larger budget is not allocated up front,
+#: since a run may converge long before spending it.
+CAPACITY = 2500
 
 #: A scalar cost: a float, or (float, (S, 3) outcomes or None) as ``Task.cost`` gives.
 CostFn = Callable[[np.ndarray], "float | tuple[float, np.ndarray | None]"]
@@ -132,12 +136,13 @@ class OptimizationTrace:
         return (np.flatnonzero(self.reboots) + 1).tolist()
 
     def to_jsonl(self, path) -> None:
-        """Write schema v2: a JSON header line, then one JSON line per column giving its
-        ``name``, ``dtype``, ``shape`` and the base64 of its little-endian bytes."""
+        """Write schema v2: a strict JSON header line, then one JSON line per column giving
+        its ``name``, ``dtype``, ``shape`` and the base64 of its little-endian bytes.  The
+        header's ``best_cost`` is null while no cost was finite."""
         header = {
             "schema_version": TRACE_SCHEMA_VERSION,
             "best_point": None if self.best_point is None else self.best_point.tolist(),
-            "best_cost": self.best_cost,
+            "best_cost": self.best_cost if math.isfinite(self.best_cost) else None,
             "n_iterations": self.n_iterations,
             "n_evaluations": self.n_evaluations,
             "n_reboots": self.n_reboots,
@@ -146,7 +151,7 @@ class OptimizationTrace:
             "states": list(self.states),
         }
         with open(path, "w") as fh:
-            fh.write(json.dumps(header) + "\n")
+            fh.write(json.dumps(header, allow_nan=False) + "\n")
             for name in COLUMNS:
                 column = getattr(self, name)
                 if column is None:
@@ -168,7 +173,7 @@ class OptimizationTrace:
         best_point = header["best_point"]
         trace = cls(
             best_point=None if best_point is None else np.array(best_point, dtype=float),
-            best_cost=header["best_cost"],
+            best_cost=math.inf if header["best_cost"] is None else header["best_cost"],
             n_iterations=header["n_iterations"],
             n_evaluations=header["n_evaluations"],
             n_reboots=header["n_reboots"],
@@ -230,17 +235,24 @@ class NelderMead:
     a shrink, 1 otherwise, cut to the budget left.  ``tell(costs, outcomes)`` takes their
     k costs in order and, for a run with ``states``, their (k, S, 3) outcomes.  Ties in
     the simplex order break toward the lowest vertex (stable sort), so runs are
-    deterministic.  ``done`` is set when the run is over, and the trace's columns are
-    filled in then; a non-finite cost ends it with a diagnostic on the trace.
+    deterministic.  ``tell`` writes each recorded row in place into columns that start
+    with room for ``min(cfg.max_evaluations, CAPACITY)`` rows and double when full.
+    ``done`` is set when the run is over, and the trace then gets views of the filled
+    rows; a non-finite cost ends it with a diagnostic on the trace.
     """
 
     def __init__(self, init: Sequence[float], cfg: NMConfig, states: Sequence[str] = ()) -> None:
         self.init, self.cfg = np.asarray(init, dtype=float), cfg
-        self.trace = OptimizationTrace(
-            points=np.empty((0, len(self.init))), states=tuple(states), seed=cfg.seed,
-            outcomes=np.empty((0, len(states), 3)) if states else None)
+        self.trace = OptimizationTrace(states=tuple(states), seed=cfg.seed)
         self.done = self._reboot = False
-        self._blocks: list[tuple] = []  # (points, costs, best costs, iteration, reboot, outcomes)
+        rows = min(cfg.max_evaluations, CAPACITY)
+        self._columns = {  # the trace's columns with room to grow; rows [0, self._rows) are filled
+            "points": np.zeros((rows, len(self.init))), "costs": np.zeros(rows),
+            "best_costs": np.zeros(rows), "iterations": np.zeros(rows, dtype=np.int64),
+            "reboots": np.zeros(rows, dtype=bool)}
+        if states:
+            self._columns["outcomes"] = np.zeros((rows, len(states), 3))
+        self._rows = 0
         self._search = self._steps()
         self._ask(next(self._search))
 
@@ -262,10 +274,19 @@ class NelderMead:
         if best_row is not None:
             trace.best_cost, trace.best_point = best, points[best_row].copy()
         if k := len(running):
-            # Copied: the search moves the simplex it asked from in place.
-            self._blocks.append((points[:k].copy(), values, running, trace.n_iterations, self._reboot,
-                                 None if trace.outcomes is None else np.array(outcomes[:k], dtype=float)))
-            self._reboot = False
+            start, stop = self._rows, self._rows + k
+            if stop > len(self._columns["costs"]):
+                self._grow(stop)
+            columns = self._columns
+            columns["points"][start:stop] = points[:k]
+            columns["costs"][start:stop] = values
+            columns["best_costs"][start:stop] = running
+            columns["iterations"][start:stop] = trace.n_iterations
+            if self._reboot:
+                columns["reboots"][start], self._reboot = True, False
+            if "outcomes" in columns:
+                columns["outcomes"][start:stop] = outcomes[:k]
+            self._rows = stop
         trace.n_evaluations += k + (trace.error is not None)
         if trace.error is not None or self._cut:
             return self._finish()
@@ -280,24 +301,22 @@ class NelderMead:
         if left <= 0:
             self._finish()
 
+    def _grow(self, rows: int) -> None:
+        """Double the columns' room, up to the budget and at least to ``rows``."""
+        room = max(min(2 * len(self._columns["costs"]), self.cfg.max_evaluations), rows)
+        for name, column in self._columns.items():
+            grown = np.zeros((room, *column.shape[1:]), dtype=column.dtype)
+            grown[:self._rows] = column[:self._rows]
+            self._columns[name] = grown
+
     def _finish(self) -> None:
         self.done = True
         self._search.close()
         trace = self.trace
         if trace.best_point is None:
             trace.best_point = self.init.copy()
-        if not self._blocks:
-            return
-        points, costs, best, iterations, reboots, outcomes = zip(*self._blocks)
-        sizes = [len(block) for block in costs]
-        trace.points = np.concatenate(points)
-        trace.costs = np.array(list(chain.from_iterable(costs)))
-        trace.best_costs = np.array(list(chain.from_iterable(best)))
-        trace.iterations = np.repeat(np.array(iterations, dtype=np.int64), sizes)
-        trace.reboots = np.zeros(len(trace.costs), dtype=bool)
-        trace.reboots[np.cumsum([0, *sizes[:-1]])] = reboots
-        if trace.outcomes is not None:
-            trace.outcomes = np.concatenate(outcomes)
+        for name, column in self._columns.items():
+            setattr(trace, name, column[:self._rows])
 
     def _steps(self):
         """The search as a generator: yields the points it needs, receives their costs."""

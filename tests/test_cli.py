@@ -460,6 +460,10 @@ def test_train_writes_strict_json_when_every_restart_aborts(tmp_path, runner, mo
     params = json.loads((out / "best_params.json").read_text(), parse_constant=reject)
     assert summary["best_cost_trace"] is None and summary["best_cost_noiseless"] is None
     assert params["cost"] is None
+    result = runner.invoke(main, ["report", "--run", str(out)])
+    assert result.exit_code == 0, result.output
+    assert (out / "report" / "cost_series.csv").read_text().splitlines() == [
+        "evaluation,iteration,cost,best_cost,reboot"]
 
 
 def _report_tables(runner, run_dir):

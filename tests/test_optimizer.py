@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,18 @@ def test_trace_v2_roundtrip_is_lossless(tmp_path, make):
     loaded.to_jsonl(tmp_path / "again.jsonl")
     assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
+
+
+def test_trace_header_is_strict_json(tmp_path):
+    # An aborted run has no finite cost: its header says null, read back as inf.
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    path = tmp_path / "trace.jsonl"
+    _aborted_trace().to_jsonl(path)
+    lines = [json.loads(line, parse_constant=reject) for line in path.read_text().splitlines()]
+    assert lines[0]["best_cost"] is None
+    assert OptimizationTrace.from_jsonl(path).best_cost == float("inf")
 
 def test_aborted_and_stateless_traces_have_their_columns():
     aborted = _aborted_trace()
@@ -445,6 +458,35 @@ def test_non_finite_row_in_shared_batch_stops_only_its_restart():
     assert_same_columns(traces[0], solo[0])
     assert_same_columns(traces[2], solo[2])
 
+
+
+def test_columns_grow_past_capacity_without_preallocating_the_budget():
+    # A budget no memory could hold up front: the run converges, and its columns, grown
+    # past CAPACITY, equal those of the same run given just the budget it used.
+    def cost(x):
+        return rosenbrock(x), np.array([[x[0], x[1], 0.5]])
+
+    def run(budget):
+        return nelder_mead(cost, [-1.2, 1.0], NMConfig(max_evaluations=budget, max_reboots=30), ("A",))
+
+    grown = run(10**12)
+    assert grown.error is None and optimizer.CAPACITY < len(grown.costs) == grown.n_evaluations < 10**12
+    assert grown.reboots.sum() == grown.n_reboots == 30
+    assert_same_trace(grown, run(grown.n_evaluations))
+
+
+def test_train_transient_memory_is_small():
+    # Rows are written in place into each restart's columns: what train allocates beyond
+    # the traces it returns stays small.
+    task = pc_task()
+    tracemalloc.start()
+    try:
+        _, traces = train(task, NMConfig(max_evaluations=1000), restarts=3)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(t.costs) for t in traces) == 3000
+    assert peak - held < 0.5e6, (held, peak)
 
 def test_train_zero_restarts_rejected():
     with pytest.raises(ValueError):

@@ -261,7 +261,7 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
     run_dir = Path(out_dir or config.get("output_dir", "runs/latest"))
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.json").write_text(json.dumps(config, indent=2) + "\n")
-    best, traces = optimizer.train(task, cfg, restarts, seed=config["seed"])
+    best, traces = optimizer.train(task, cfg, restarts)
 
     manifest = RunManifest(run_dir)
     manifest.set_config(json.dumps(config, indent=2).encode() + b"\n", config["seed"])

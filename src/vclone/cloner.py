@@ -15,6 +15,10 @@ With one photon per injection rail each accepted amplitude is a 2x2
 permanent, so the closed-form kernel (``clone_outcomes``,
 ``measurement_path_probabilities``) is the production path; ``run_cloner``
 keeps the general Fock path (``fock.evolve``) as its test oracle.
+
+Outside that oracle only ``outcomes`` forms (F1, F2, P_post), from exact
+weights (the kernel, the measurement path) or from the sampler's coincidence
+counts, whose infinite-shot limit the exact weights are.
 """
 
 from __future__ import annotations
@@ -136,16 +140,22 @@ def _coincidence_amplitudes(u: np.ndarray, kets: np.ndarray) -> np.ndarray:
     return v[..., :2, None] * w[..., None, 2:] + w[..., :2, None] * v[..., None, 2:]
 
 
-def _outcome(p_post, weight1, weight2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(F1, F2, P_post) arrays from P_post and each clone's accepted probability of being in psi.
+def outcomes(total, weight1, weight2, shots=1) -> np.ndarray:
+    """(..., 3) array of (F1, F2, P_post) from accepted weights.
 
-    Zero support (P_post < ZERO_SUPPORT_TOL) gives all zeros; F is clamped to [0, 1], P_post to 1.
+    ``total`` is the accepted (coincidence) weight and ``weight_i`` the part of it
+    with clone i in psi, as probabilities (``shots`` 1) or as counts out of
+    ``shots`` trials.  F_i = weight_i / total clamped to [0, 1] and P_post = total / shots
+    clamped to 1; zero support (P_post < ZERO_SUPPORT_TOL) gives all zeros.
     """
-    support = p_post >= ZERO_SUPPORT_TOL
-    p = np.where(support, p_post, 1.0)
-    f1 = np.where(support, np.minimum(np.maximum(weight1 / p, 0.0), 1.0), 0.0)
-    f2 = np.where(support, np.minimum(np.maximum(weight2 / p, 0.0), 1.0), 0.0)
-    return f1, f2, np.where(support, np.minimum(p_post, 1.0), 0.0)
+    total = np.asarray(total)
+    p_post = total / shots
+    support = np.asarray(p_post >= ZERO_SUPPORT_TOL)
+    denominator = np.where(support, total, 1.0)
+    out = np.stack([weight1 / denominator, weight2 / denominator, p_post], axis=-1)
+    np.clip(out, 0.0, 1.0, out=out)
+    out[~support] = 0.0
+    return out
 
 
 def clone_outcomes(
@@ -165,7 +175,7 @@ def clone_outcomes(
     p_post = (np.abs(amps) ** 2).sum(axis=(-2, -1))
     weight1 = (np.abs(bra[:, 0] * amps[..., 0, :] + bra[:, 1] * amps[..., 1, :]) ** 2).sum(axis=-1)
     weight2 = (np.abs(bra[:, 0] * amps[..., :, 0] + bra[:, 1] * amps[..., :, 1]) ** 2).sum(axis=-1)
-    return np.stack(_outcome(p_post, weight1, weight2), axis=-1)
+    return outcomes(p_post, weight1, weight2)
 
 
 def run_cloner(
@@ -266,7 +276,7 @@ def measurement_path_outcome(
     success rail given a coincidence; equals the density-matrix path.
     """
     p = measurement_path_probabilities(params, [psi], spec)[0]
-    return CloningOutcome(*map(float, _outcome(p.sum(), p[0] + p[1], p[0] + p[2])))
+    return CloningOutcome(*outcomes(p.sum(), p[0] + p[1], p[0] + p[2]).tolist())
 
 
 def equatorial_fidelity_profile(rho: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -310,21 +320,3 @@ def semiclassical_monte_carlo(trials: int, seed: int = 0) -> float:
     fid_along = p
     fid_against = 1.0 - p
     return float(np.mean(np.where(outcome_along, fid_along, fid_against)))
-
-
-def fixed_basis_measure_and_prepare(phi_in: float, phi_basis: float) -> float:
-    """Expected copy fidelity when measuring along one fixed equatorial basis."""
-    p = math.cos((phi_in - phi_basis) / 2.0) ** 2
-    return p * p + (1.0 - p) * (1.0 - p)
-
-
-#: Default state pairs for two-state cloning runs, as (psi_A, psi_B).
-#: Chosen to span equatorial, real-amplitude and off-equator pairs with
-#: non-orthogonal overlaps; angles in radians.
-DEFAULT_SD_PAIRS: tuple[tuple[QubitState, QubitState], ...] = (
-    (QubitState(math.pi / 4, 0.0), QubitState(math.pi / 4, math.pi / 2)),
-    (QubitState(math.pi / 8, 0.0), QubitState(3 * math.pi / 8, 0.0)),
-    (QubitState(math.pi / 8, 0.0), QubitState(math.pi / 8, math.pi)),
-    (QubitState(math.pi / 6, math.pi / 4), QubitState(math.pi / 3, 5 * math.pi / 4)),
-)
-

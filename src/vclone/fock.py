@@ -182,8 +182,7 @@ def evolve(input_state: tuple[int, ...] | list[int], u: np.ndarray) -> FockAmpli
 
 @lru_cache(maxsize=None)
 def _pattern_table(n: int, m: int) -> tuple:
-    # Pattern, repeated row indices, and output normalization, precomputed
-    # once per (n, m) since evolve is called in the optimizer hot loop.
+    # Pattern, repeated row indices, and output normalization, once per (n, m).
     table = []
     for pattern in enumerate_patterns(n, m):
         rows = tuple(i for i, o in enumerate(pattern) for _ in range(o))

@@ -99,17 +99,6 @@ class MeshSpec:
             cell_pairs=((0, 1), (2, 3), (1, 2), (0, 1), (2, 3), (1, 2)),
         )
 
-    def to_dict(self) -> dict:
-        """JSON-serializable form; see the config section of the README."""
-        return {
-            "mode_count": self.mode_count,
-            "cells": [
-                {"modes": list(pair), "theta_index": 2 * k, "phi_index": 2 * k + 1}
-                for k, pair in enumerate(self.cell_pairs)
-            ],
-            "fixed_couplers": [list(pair) for pair in self.fixed_couplers],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "MeshSpec":
         cells = data["cells"]

@@ -132,9 +132,6 @@ class OptimizationTrace:
             for i, (iteration, point, cost, best, reboot, states) in enumerate(rows)
         ]
 
-    def reboot_evaluations(self) -> list[int]:
-        return (np.flatnonzero(self.reboots) + 1).tolist()
-
     def to_jsonl(self, path) -> None:
         """Write schema v2: a strict JSON header line, then one JSON line per column giving
         its ``name``, ``dtype``, ``shape`` and the base64 of its little-endian bytes.  The
@@ -238,7 +235,8 @@ class NelderMead:
     deterministic.  ``tell`` writes each recorded row in place into columns that start
     with room for ``min(cfg.max_evaluations, CAPACITY)`` rows and double when full.
     ``done`` is set when the run is over, and the trace then gets views of the filled
-    rows; a non-finite cost ends it with a diagnostic on the trace.
+    rows, or copies of them when they fill at most half the room; a non-finite cost
+    ends it with a diagnostic on the trace.
     """
 
     def __init__(self, init: Sequence[float], cfg: NMConfig, states: Sequence[str] = ()) -> None:
@@ -315,8 +313,9 @@ class NelderMead:
         trace = self.trace
         if trace.best_point is None:
             trace.best_point = self.init.copy()
+        trim = 2 * self._rows <= len(self._columns["costs"])  # a copy frees the unused room
         for name, column in self._columns.items():
-            setattr(trace, name, column[:self._rows])
+            setattr(trace, name, column[:self._rows].copy() if trim else column[:self._rows])
 
     def _steps(self):
         """The search as a generator: yields the points it needs, receives their costs."""
@@ -402,7 +401,6 @@ class Task:
     and ``cost`` is its batch of one.  A stateful cost, such as a sampled one, keeps
     one stream per restart; others ignore it."""
 
-    name: str
     dim: int
     costs: Callable[[np.ndarray, Sequence[int]], tuple[np.ndarray, np.ndarray | None]]
     states: tuple[str, ...] = ()
@@ -416,7 +414,7 @@ def _symmetric_terms(f1: float, f2: float) -> float:
     return (1.0 - f1) ** 2 + (1.0 - f2) ** 2 + (f1 - f2) ** 2
 
 
-def _cloning_task(name: str, states: dict[str, QubitState], lam: float | None,
+def _cloning_task(states: dict[str, QubitState], lam: float | None,
                   spec: MeshSpec | None, evaluator: Evaluator | None) -> Task:
     """Symmetric cloning cost summed over the labelled states, plus lam times the
     symmetric terms of the first two states' P_post when lam is set.  One
@@ -439,7 +437,7 @@ def _cloning_task(name: str, states: dict[str, QubitState], lam: float | None,
             totals.append(total)
         return np.array(totals), outs
 
-    return Task(name=name, dim=spec.n_phases, costs=costs, states=tuple(states))
+    return Task(dim=spec.n_phases, costs=costs, states=tuple(states))
 
 
 def pc_task(spec: MeshSpec | None = None, evaluator: Evaluator | None = None) -> Task:
@@ -449,7 +447,7 @@ def pc_task(spec: MeshSpec | None = None, evaluator: Evaluator | None = None) ->
     evaluator (see vclone.sampler) to train under shot noise.
     """
     states = {f"phi={phi:.4f}": QubitState.equatorial(phi) for phi in cloner.TRAINING_PHASES}
-    return _cloning_task("pc", states, None, spec, evaluator)
+    return _cloning_task(states, None, spec, evaluator)
 
 
 def sd_task(
@@ -462,19 +460,14 @@ def sd_task(
     """Two-state cloning task with success-probability regularization."""
     if lam < 0:
         raise ValueError("regularization weight must be non-negative")
-    return _cloning_task("sd", {"A": psi_a, "B": psi_b}, lam, spec, evaluator)
+    return _cloning_task({"A": psi_a, "B": psi_b}, lam, spec, evaluator)
 
 
-def train(
-    task: Task,
-    cfg: NMConfig,
-    restarts: int,
-    seed: int | None = None,
-) -> tuple[OptimizationTrace, list[OptimizationTrace]]:
+def train(task: Task, cfg: NMConfig, restarts: int) -> tuple[OptimizationTrace, list[OptimizationTrace]]:
     """Run independent seeded optimizations in lockstep and keep the lowest-cost trace.
 
-    Restart r uses seed ``seed + r`` (falling back to cfg.seed) for its
-    uniform initial point on [0, 2*pi)^dim.  The restarts step together:
+    Restart r uses seed ``cfg.seed + r`` for its uniform initial point on
+    [0, 2*pi)^dim.  The restarts step together:
     each step is one ``task.costs`` call on the points every live restart
     asks for, in restart order, each row tagged with its restart index, so
     a sampled task draws each restart's rows from that restart's stream.
@@ -482,10 +475,9 @@ def train(
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    base_seed = cfg.seed if seed is None else seed
     searches = [
-        NelderMead(np.random.default_rng(base_seed + r).uniform(0.0, 2.0 * math.pi, task.dim),
-                   replace(cfg, seed=base_seed + r), task.states)
+        NelderMead(np.random.default_rng(cfg.seed + r).uniform(0.0, 2.0 * math.pi, task.dim),
+                   replace(cfg, seed=cfg.seed + r), task.states)
         for r in range(restarts)
     ]
     while live := [r for r, search in enumerate(searches) if not search.done]:

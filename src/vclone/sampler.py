@@ -11,13 +11,13 @@ are estimated from conditional counts as on the device, for all rows at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cloner import QubitState, four_mode_spec
-from .cloner import measurement_path_probabilities
+from .cloner import QubitState, four_mode_spec, measurement_path_probabilities, outcomes
 from .mesh import MeshSpec
 
 
@@ -68,18 +68,15 @@ def sample_counts(
     return counts[..., :-1]
 
 
-def _binomial_err(p, n):
+def _binomial_err(p: float, n: int) -> float:
     """sqrt(p(1-p)/n); with n = 0 (then p = 0 too) it is 0."""
-    return np.sqrt(np.maximum(p * (1.0 - p), 0.0) / np.maximum(n, 1))
+    return math.sqrt(max(p * (1.0 - p), 0.0) / max(n, 1))
 
 
 @dataclass(frozen=True)
 class EstimatedOutcome:
-    """Estimated fidelities and success probability, with their binomial errors on demand.
-
-    ``estimate_outcomes`` fills the fields with arrays over rows; ``estimate_outcome``
-    with the Python scalars of one row.
-    """
+    """Estimated fidelities and success probability of one row of counts, as Python
+    scalars, with their binomial errors on demand."""
 
     f1: float
     f2: float
@@ -101,33 +98,25 @@ class EstimatedOutcome:
         return _binomial_err(self.p_post, self.shots)
 
 
-def estimate_outcomes(counts: np.ndarray, shots: int) -> EstimatedOutcome:
-    """Estimate (F1, F2, P_post) from coincidence counts (..., 4); each field but ``shots``
-    is a (...) array.
+def _count_outcomes(counts: np.ndarray, shots: int) -> np.ndarray:
+    """``cloner.outcomes`` of coincidence counts (..., 4) in logical order (00, 01, 10, 11).
 
-    The counts of a row are the four coincidence-pattern counts in logical
-    order (00, 01, 10, 11); bit 0 means the clone photon exited its success
-    rail.  F_i is the fraction of coincidences with the pair-i photon in the
-    success rail.  A row with zero coincidences is invalid, with all values 0.
+    Bit 0 means the clone photon exited its success rail, so F_i is the fraction of
+    coincidences with the pair-i photon there; a row without coincidences is all 0.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.shape[-1:] != (4,):
-        raise ValueError("expected the four coincidence-pattern counts")
-    coinc = counts.sum(axis=-1)
-    n = np.maximum(coinc, 1)  # a row without coincidences has all counts 0, so F = 0 / 1
-    f1 = (counts[..., 0] + counts[..., 1]) / n
-    f2 = (counts[..., 0] + counts[..., 2]) / n
-    return EstimatedOutcome(f1, f2, coinc / shots, coinc, shots, coinc > 0)
+    return outcomes(counts.sum(axis=-1), counts[..., 0] + counts[..., 1],
+                    counts[..., 0] + counts[..., 2], shots)
 
 
 def estimate_outcome(counts: np.ndarray | list[int], shots: int) -> EstimatedOutcome:
-    """``estimate_outcomes`` of one row of four counts, as Python scalars."""
+    """Estimate (F1, F2, P_post) from one row of four coincidence-pattern counts; a row
+    with zero coincidences is invalid, with all values 0."""
     counts = np.asarray(counts, dtype=np.int64)
     if counts.shape != (4,):
         raise ValueError("expected the four coincidence-pattern counts")
-    row = estimate_outcomes(counts, shots)
-    return EstimatedOutcome(row.f1.item(), row.f2.item(), row.p_post.item(),
-                            row.n_coincidences.item(), shots, row.valid.item())
+    coincidences = int(counts.sum())
+    f1, f2, p_post = _count_outcomes(counts, shots).tolist()
+    return EstimatedOutcome(f1, f2, p_post, coincidences, shots, coincidences > 0)
 
 
 def sampled_evaluator(noise: NoiseConfig, spec: MeshSpec | None = None) -> Callable[..., np.ndarray]:
@@ -154,7 +143,7 @@ def sampled_evaluator(noise: NoiseConfig, spec: MeshSpec | None = None) -> Calla
         owners = np.zeros(len(rows), dtype=int) if restarts is None else np.asarray(restarts)
         for r in set(owners.tolist()) - rngs.keys():
             rngs[r] = np.random.default_rng(noise.seed + r)
-        est = estimate_outcomes(sample_counts(rows, shots, rngs, owners), shots)
-        return np.stack([est.f1, est.f2, est.p_post], axis=-1).reshape(*probs.shape[:-1], 3)
+        counts = sample_counts(rows, shots, rngs, owners)
+        return _count_outcomes(counts, shots).reshape(*probs.shape[:-1], 3)
 
     return evaluate

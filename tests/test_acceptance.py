@@ -7,6 +7,7 @@ Slow training-based criteria share one cached noiseless training run.
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from scipy.linalg import expm, logm
 from vclone import cloner, fock, mesh, optimizer, sampler
 from vclone.cloner import SEMICLASSICAL_FIDELITY, TRAINING_PHASES, QubitState
 from vclone.optimizer import NMConfig, nelder_mead, pc_task, sd_task, train, validate_sweep
+
+from sd_pairs import DEFAULT_SD_PAIRS
 
 # Reference optima for the four default two-state pairs, frozen from an
 # independent many-restart cross-seeded run (scipy Nelder-Mead + Powell).
@@ -43,7 +46,7 @@ def record(capfd):
 def trained_pc():
     """Noiseless phase-covariant training: 20 restarts x 2500 evaluations."""
     cfg = NMConfig(max_evaluations=2500)
-    best, traces = train(pc_task(), cfg, restarts=20, seed=0)
+    best, traces = train(pc_task(), replace(cfg, seed=0), restarts=20)
     total = sum(t.n_evaluations for t in traces)
     return best, total
 
@@ -218,10 +221,10 @@ def test_criterion_08_optimizer_benchmarks(record):
 
 def test_criterion_09_state_dependent_pairs(record):
     gaps = []
-    for pair_index, (psi_a, psi_b) in enumerate(cloner.DEFAULT_SD_PAIRS):
+    for pair_index, (psi_a, psi_b) in enumerate(DEFAULT_SD_PAIRS):
         cfg = NMConfig(max_evaluations=3000)
         best, _ = train(
-            sd_task(psi_a, psi_b, lam=1.0), cfg, restarts=12, seed=90 + pair_index
+            sd_task(psi_a, psi_b, lam=1.0), replace(cfg, seed=90 + pair_index), restarts=12
         )
         gaps.append(best.best_cost - SD_REFERENCE_COSTS[pair_index])
     worst = max(gaps)
@@ -255,7 +258,7 @@ def test_criterion_10_shot_noise(record):
         # One shared task; restart r draws from noise seed run * 100 + r.
         noise = sampler.NoiseConfig(shots=5000, seed=run * 100)
         noisy_task = pc_task(evaluator=sampler.sampled_evaluator(noise))
-        noisy_best, _ = train(noisy_task, NMConfig(), restarts=4, seed=run * 1000)
+        noisy_best, _ = train(noisy_task, NMConfig(seed=run * 1000), restarts=4)
         rows = validate_sweep(noisy_best.best_point, count=50)
         worst = min(min(f1, f2) for _, f1, f2, _ in rows)
         successes += worst > SEMICLASSICAL_FIDELITY

@@ -5,14 +5,12 @@ import pytest
 
 from vclone import cloner
 from vclone.cloner import (
-    DEFAULT_SD_PAIRS,
     SEMICLASSICAL_FIDELITY,
     CloningOutcome,
     QubitState,
     StateStack,
     design_identity_check,
     fidelity,
-    fixed_basis_measure_and_prepare,
     joint_logical_state,
     measurement_path_outcome,
     prep_unitary,
@@ -23,6 +21,8 @@ from vclone.cloner import (
 from vclone.fock import FockAmplitudes, PostselectionRule, evolve, postselect
 from vclone.mesh import MeshSpec
 from vclone.optimizer import pc_task, sd_task
+
+from sd_pairs import DEFAULT_SD_PAIRS
 
 
 def _random_params(rng):
@@ -339,6 +339,12 @@ def test_semiclassical_constant():
 def test_semiclassical_monte_carlo_converges():
     estimate = semiclassical_monte_carlo(1_000_000, seed=1)
     assert estimate == pytest.approx(0.750, abs=0.002)
+
+
+def fixed_basis_measure_and_prepare(phi_in: float, phi_basis: float) -> float:
+    """Expected copy fidelity when measuring along one fixed equatorial basis."""
+    p = math.cos((phi_in - phi_basis) / 2.0) ** 2
+    return p * p + (1.0 - p) * (1.0 - p)
 
 
 def test_measure_and_prepare_fixed_matching_basis():

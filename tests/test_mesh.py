@@ -149,8 +149,14 @@ def test_fixed_couplers_are_balanced():
 
 
 def test_spec_roundtrip_serialization():
-    spec = MeshSpec.four_mode_core()
-    assert MeshSpec.from_dict(spec.to_dict()) == spec
+    # The four-mode core in the config's JSON form (see the README).
+    data = {
+        "mode_count": 4,
+        "cells": [{"modes": [a, b], "theta_index": 2 * k, "phi_index": 2 * k + 1}
+                  for k, (a, b) in enumerate(((0, 1), (2, 3), (1, 2), (0, 1), (2, 3), (1, 2)))],
+        "fixed_couplers": [],
+    }
+    assert MeshSpec.from_dict(data) == MeshSpec.four_mode_core()
 
 
 _phase = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)

@@ -20,6 +20,8 @@ from vclone.optimizer import (
 )
 from vclone.sampler import NoiseConfig, sampled_evaluator
 
+from sd_pairs import DEFAULT_SD_PAIRS
+
 
 def quadratic_1d(x):
     return float((x[0] - 2.0) ** 2)
@@ -121,7 +123,7 @@ def test_evaluation_accounting(monkeypatch):
 
     monkeypatch.setattr(optimizer, "clone_outcomes", counting)
     monkeypatch.setattr(optimizer.NelderMead, "ask", counting_ask)
-    _, traces = train(pc_task(), NMConfig(max_evaluations=40), restarts=3, seed=9)
+    _, traces = train(pc_task(), NMConfig(max_evaluations=40, seed=9), restarts=3)
     evaluations = sum(t.n_evaluations for t in traces)
     states = len(cloner.TRAINING_PHASES)
     assert sum(rows * n for rows, n in calls) == states * evaluations
@@ -169,7 +171,7 @@ def _aborted_trace():
 @pytest.mark.parametrize("make", [
     _aborted_trace,
     lambda: nelder_mead(rosenbrock, [-1.2, 1.0], NMConfig(max_evaluations=300, stagnation_window=10)),
-    lambda: train(sd_task(*cloner.DEFAULT_SD_PAIRS[1], lam=1.0), NMConfig(max_evaluations=40), 1)[0],
+    lambda: train(sd_task(*DEFAULT_SD_PAIRS[1], lam=1.0), NMConfig(max_evaluations=40), 1)[0],
 ], ids=["aborted", "no states", "states"])
 def test_trace_v2_roundtrip_is_lossless(tmp_path, make):
     trace = make()
@@ -226,7 +228,7 @@ def test_trace_jsonl_v2_format(tmp_path):
         assert base64.b64decode(line["data"]) == column.astype(line["dtype"]).tobytes()
     assert [r.extras for r in trace.records] == [{"A": {"f1": 0.0, "f2": 1.0, "p": 2.0}},
                                                  {"A": {"f1": 3.0, "f2": 4.0, "p": 5.0}}]
-    assert trace.reboot_evaluations() == [2]
+    assert (np.flatnonzero(trace.reboots) + 1).tolist() == [2]
 
 
 @pytest.mark.parametrize("change, message", [
@@ -250,7 +252,7 @@ def test_trace_reboot_markers_recorded():
 
     cfg = NMConfig(max_evaluations=2000, stagnation_window=30, max_reboots=10)
     trace = nelder_mead(noisy, rng.uniform(-2, 2, 4), cfg)
-    assert len(trace.reboot_evaluations()) == trace.n_reboots
+    assert np.count_nonzero(trace.reboots) == trace.n_reboots
 
 
 # -------------------------------------------------------------- reboot policy
@@ -272,7 +274,7 @@ def test_flat_tail_with_collapsed_simplex_reboots():
     )
     trace = nelder_mead(lambda x: 1.0, [0.1, 0.2], cfg)
     assert trace.n_reboots >= 1
-    first_reboot = trace.reboot_evaluations()[0]
+    first_reboot = np.flatnonzero(trace.reboots)[0] + 1
     # First eligible point: right after the stagnation window elapses.
     assert first_reboot <= 10 * 4 + 3 + 1
 
@@ -309,7 +311,7 @@ def test_reboots_help_on_noisy_quadratic():
 def test_train_returns_lowest_cost_trace():
     task = pc_task()
     cfg = NMConfig(max_evaluations=200)
-    best, traces = train(task, cfg, restarts=3, seed=0)
+    best, traces = train(task, dataclasses.replace(cfg, seed=0), restarts=3)
     assert len(traces) == 3
     assert best.best_cost == min(t.best_cost for t in traces)
 
@@ -317,7 +319,7 @@ def test_train_returns_lowest_cost_trace():
 def test_train_restart_seeds_differ():
     task = pc_task()
     cfg = NMConfig(max_evaluations=50)
-    _, traces = train(task, cfg, restarts=3, seed=5)
+    _, traces = train(task, dataclasses.replace(cfg, seed=5), restarts=3)
     starts = {tuple(t.points[0]) for t in traces}
     assert len(starts) == 3
     assert [t.seed for t in traces] == [5, 6, 7]
@@ -332,7 +334,7 @@ def test_train_tags_each_row_with_its_restart():
         return task.costs(points, restarts)
 
     cfg = NMConfig(max_evaluations=30)
-    train(optimizer.Task(task.name, task.dim, costs, task.states), cfg, restarts=2, seed=0)
+    train(optimizer.Task(task.dim, costs, task.states), dataclasses.replace(cfg, seed=0), restarts=2)
     assert seen[0] == [0] * 13 + [1] * 13
     assert {r for step in seen for r in step} == {0, 1}
 
@@ -348,10 +350,10 @@ def _solo_runs(task, cfg, restarts, seed):
 
 @pytest.mark.parametrize("name", ["pc", "sd"])
 def test_lockstep_traces_equal_solo_runs(name):
-    task = pc_task() if name == "pc" else sd_task(*cloner.DEFAULT_SD_PAIRS[1], lam=1.0)
+    task = pc_task() if name == "pc" else sd_task(*DEFAULT_SD_PAIRS[1], lam=1.0)
     # A short stagnation window makes the restarts reboot within the budget.
     cfg = NMConfig(max_evaluations=300, stagnation_window=10, collapse_diameter=1.0)
-    _, traces = train(task, cfg, restarts=3, seed=2)
+    _, traces = train(task, dataclasses.replace(cfg, seed=2), restarts=3)
     assert sum(t.n_reboots for t in traces) > 0
     for trace, solo in zip(traces, _solo_runs(task, cfg, 3, 2)):
         assert_same_columns(trace, solo)
@@ -365,14 +367,14 @@ def _noisy_task(name, seed):
     evaluator = sampled_evaluator(NoiseConfig(shots=2000, seed=seed))
     if name == "pc":
         return pc_task(evaluator=evaluator)
-    return sd_task(*cloner.DEFAULT_SD_PAIRS[1], lam=1.0, evaluator=evaluator)
+    return sd_task(*DEFAULT_SD_PAIRS[1], lam=1.0, evaluator=evaluator)
 
 
 def test_lockstep_noisy_restarts_keep_their_own_streams():
     # One shared task: restart r draws from noise seed 40 + r, and the batched
     # draws of a simplex build must equal the draws of its points one after another.
     cfg = NMConfig(max_evaluations=150)
-    _, traces = train(_noisy_task("pc", 40), cfg, restarts=2, seed=9)
+    _, traces = train(_noisy_task("pc", 40), dataclasses.replace(cfg, seed=9), restarts=2)
     for r, trace in enumerate(traces):
         init = np.random.default_rng(9 + r).uniform(0, 2 * np.pi, 12)
         task = _noisy_task("pc", 40 + r)
@@ -388,10 +390,10 @@ def test_shared_noisy_train_equals_solo_runs_on_each_stream(name):
     seed, noise_seed = 4, 60
     cfg = NMConfig(max_evaluations=400, stagnation_window=10, collapse_diameter=1.0)
     probe = _solo_runs(_noisy_task(name, noise_seed), cfg, 1, seed)[0]
-    first_reboot = probe.reboot_evaluations()[0]
+    first_reboot = int(np.flatnonzero(probe.reboots)[0]) + 1
     cfg = dataclasses.replace(cfg, max_evaluations=first_reboot + 5)  # 6 of its 13 rows
-    _, traces = train(_noisy_task(name, noise_seed), cfg, restarts=3, seed=seed)
-    assert traces[0].reboot_evaluations()[-1] == first_reboot
+    _, traces = train(_noisy_task(name, noise_seed), dataclasses.replace(cfg, seed=seed), restarts=3)
+    assert np.flatnonzero(traces[0].reboots)[-1] + 1 == first_reboot
     for r, trace in enumerate(traces):
         (solo,) = _solo_runs(_noisy_task(name, noise_seed + r), cfg, 1, seed + r)
         assert_same_columns(trace, solo)
@@ -430,7 +432,7 @@ def test_budget_runs_out_inside_a_batch(batch):
 
 
 def test_budget_cuts_every_lockstep_build():
-    _, traces = train(pc_task(), NMConfig(max_evaluations=5), restarts=3, seed=1)
+    _, traces = train(pc_task(), NMConfig(max_evaluations=5, seed=1), restarts=3)
     for trace in traces:
         assert len(trace.costs) == trace.n_evaluations == 5
         assert trace.n_iterations == 0 and trace.error is None
@@ -445,8 +447,8 @@ def test_non_finite_row_in_shared_batch_stops_only_its_restart():
         batches.append(len(points))
         return np.array([float("nan") if np.array_equal(p, poisoned) else rosenbrock(p) for p in points]), None
 
-    task = optimizer.Task(name="rosenbrock", dim=2, costs=costs)
-    _, traces = train(task, cfg, restarts=3, seed=seed)
+    task = optimizer.Task(dim=2, costs=costs)
+    _, traces = train(task, dataclasses.replace(cfg, seed=seed), restarts=3)
     assert batches[0] == 3 * 3  # the poisoned row arrives with the other builds
     assert "non-finite cost nan" in traces[1].error
     assert traces[1].n_evaluations == 1 and len(traces[1].costs) == 0
@@ -488,13 +490,34 @@ def test_train_transient_memory_is_small():
     assert sum(len(t.costs) for t in traces) == 3000
     assert peak - held < 0.5e6, (held, peak)
 
+
+def test_short_trace_holds_only_its_rows():
+    # A run stopped at its first evaluation fills no row of the 2500 it made room for:
+    # its trace holds copies of the filled rows, not views of the whole block.
+    states = [f"s{k}" for k in range(4)]
+    tracemalloc.start()
+    try:
+        trace = nelder_mead(lambda x: (float("nan"), np.zeros((4, 3))), np.zeros(12), NMConfig(), states)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.error is not None and len(trace.costs) == 0
+    assert held < 20_000, held
+
+
+def test_full_trace_gets_views_of_its_columns():
+    # A run that fills its room keeps the columns it wrote into, with no copy.
+    trace = nelder_mead(rosenbrock, [-1.2, 1.0], NMConfig(max_evaluations=50))
+    assert len(trace.costs) == 50
+    assert all(getattr(trace, name).base is not None for name in optimizer.COLUMNS[:-1])
+
 def test_train_zero_restarts_rejected():
     with pytest.raises(ValueError):
         train(pc_task(), NMConfig(), restarts=0)
 
 
 def test_sd_task_extras_recorded():
-    psi_a, psi_b = cloner.DEFAULT_SD_PAIRS[0]
+    psi_a, psi_b = DEFAULT_SD_PAIRS[0]
     task = sd_task(psi_a, psi_b, lam=1.0)
     value, outcomes = task.cost(np.zeros(12))
     assert task.states == ("A", "B") and outcomes.shape == (2, 3)
@@ -509,7 +532,7 @@ def test_task_costs_round_as_python_floats():
     # Noisy trajectories hang on the last bit of each cost: Python's ** (libm
     # pow) and numpy's square round differently on some inputs.
     outs = np.random.default_rng(3).random((20_000, 2, 3))
-    task = sd_task(*cloner.DEFAULT_SD_PAIRS[0], lam=0.5, evaluator=lambda params, states, restarts: outs)
+    task = sd_task(*DEFAULT_SD_PAIRS[0], lam=0.5, evaluator=lambda params, states, restarts: outs)
     costs, outcomes = task.costs(np.zeros((len(outs), 12)), [0] * len(outs))
     assert outcomes is outs
     want = []

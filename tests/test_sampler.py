@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 from vclone import cloner, optimizer
 from vclone.cloner import QubitState, measurement_path_outcome, measurement_path_probabilities
 from vclone.optimizer import NMConfig, nelder_mead, pc_task
-from vclone.sampler import (
-    NoiseConfig,
-    estimate_outcome,
-    estimate_outcomes,
-    sample_counts,
-    sampled_evaluator,
-)
+from vclone.sampler import NoiseConfig, estimate_outcome, sample_counts, sampled_evaluator
 
 
 def test_degenerate_distribution():
@@ -144,7 +138,7 @@ _count_rows = st.lists(
 
 
 def _scalar_estimate(counts, shots):
-    """The estimator row by row in Python scalars: the reference for the array version."""
+    """The estimator row by row in Python scalars: the reference for ``cloner.outcomes``."""
     def err(p, n):
         return math.sqrt(max(p * (1.0 - p), 0.0) / n) if n > 0 else 0.0
 
@@ -160,21 +154,26 @@ _ESTIMATES = ("f1", "f2", "p_post", "f1_err", "f2_err", "p_err", "n_coincidences
 
 @settings(max_examples=200, deadline=None)
 @given(_count_rows, st.integers(0, 5000))
-def test_array_estimator_equals_estimate_outcome(rows, rejected):
+def test_outcomes_of_counts_equal_estimate_outcome(rows, rejected):
+    # cloner.outcomes on count rows, as the sampled evaluator calls it, against the
+    # scalar reference and estimate_outcome, all-zero rows included.
     shots = max(sum(row) for row in rows) + rejected or 1
-    batch = estimate_outcomes(np.array(rows), shots)
-    for i, row in enumerate(rows):
+    counts = np.array(rows)
+    batch = cloner.outcomes(counts.sum(axis=-1), counts[:, 0] + counts[:, 1],
+                            counts[:, 0] + counts[:, 2], shots)
+    for row, estimate in zip(rows, batch.tolist()):
         one = estimate_outcome(row, shots)
         values = tuple(getattr(one, k) for k in _ESTIMATES)
         assert values == _scalar_estimate(row, shots)
-        assert tuple(np.broadcast_to(getattr(batch, k), len(rows))[i] for k in _ESTIMATES) == values
+        assert tuple(estimate) == values[:3]
         assert [type(getattr(one, f.name)) for f in dataclasses.fields(one)] == [
             float, float, float, int, int, bool]
 
 
-def test_array_estimator_rejects_wrong_pattern_count():
-    with pytest.raises(ValueError):
-        estimate_outcomes(np.zeros((2, 3), dtype=int), 100)
+def test_estimate_outcome_rejects_wrong_pattern_count():
+    for counts in ([1, 2, 3], [[1, 2, 3, 4]] * 2):
+        with pytest.raises(ValueError):
+            estimate_outcome(counts, 100)
 
 
 def test_estimator_fractions():

@@ -89,7 +89,8 @@ def _mesh(value, path) -> None:
 # The float max bound also turns away NaN, +-Infinity and integers too big for a float.
 _NUMBER = _leaf(lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number")
 _STATE = _object({"theta": _NUMBER, "phi": _NUMBER}, ("theta", "phi"))
-_SHOTS = _leaf(lambda v: v == "exact" or type(v) is int and v >= 1, 'an integer >= 1 or "exact"')
+_SHOTS = _leaf(lambda v: v == "exact" or type(v) is int and 1 <= v <= sampler.MAX_SHOTS,
+               f'an integer from 1 to {sampler.MAX_SHOTS} or "exact"')
 _CONFIG = _object({
     "task": _leaf(lambda v: v in ("pc", "sd"), '"pc" or "sd"'),
     "seed": _integer(),

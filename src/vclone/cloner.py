@@ -146,13 +146,13 @@ def outcomes(total, weight1, weight2, shots=1) -> np.ndarray:
     ``total`` is the accepted (coincidence) weight and ``weight_i`` the part of it
     with clone i in psi, as probabilities (``shots`` 1) or as counts out of
     ``shots`` trials.  F_i = weight_i / total clamped to [0, 1] and P_post = total / shots
-    clamped to 1; zero support (P_post < ZERO_SUPPORT_TOL) gives all zeros.
+    clamped to 1; zero support (total < ZERO_SUPPORT_TOL: for counts, no coincidence)
+    gives all zeros.
     """
     total = np.asarray(total)
-    p_post = total / shots
-    support = np.asarray(p_post >= ZERO_SUPPORT_TOL)
+    support = np.asarray(total >= ZERO_SUPPORT_TOL)
     denominator = np.where(support, total, 1.0)
-    out = np.stack([weight1 / denominator, weight2 / denominator, p_post], axis=-1)
+    out = np.stack([weight1 / denominator, weight2 / denominator, total / shots], axis=-1)
     np.clip(out, 0.0, 1.0, out=out)
     out[~support] = 0.0
     return out

@@ -44,35 +44,28 @@ CostFn = Callable[[np.ndarray], "float | tuple[float, np.ndarray | None]"]
 Evaluator = Callable[..., np.ndarray]
 
 
+#: Nelder and Mead's standard coefficients (Comput. J. 7, 308 (1965)); then the reboot
+#: heuristic's least gain in best cost over ``stagnation_window`` iterations that counts
+#: as progress, and its rebuilt simplex's edge as a multiple of ``initial_edge``.
+REFLECTION, EXPANSION, CONTRACTION, SHRINK = 1.0, 2.0, 0.5, 0.5
+STAGNATION_TOL, REBOOT_SCALE = 1e-3, 4.0
+
+
 @dataclass(frozen=True)
 class NMConfig:
-    """Nelder-Mead settings, including the reboot heuristic.
+    """Nelder-Mead settings, including the reboot heuristic.  The search stops after
+    ``max_evaluations`` cost evaluations, on convergence or at a non-finite cost."""
 
-    ``max_iterations`` caps simplex updates, ``max_evaluations`` caps cost
-    evaluations (both counts are reported separately in the trace).
-    """
-
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
     initial_edge: float = 0.5
-    max_iterations: int = 100_000
     max_evaluations: int = 2500
     stagnation_window: int = 50
-    stagnation_tol: float = 1e-3
     collapse_diameter: float = 1e-2
-    reboot_scale: float = 4.0
     max_reboots: int = 10
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.reflection > 0 and self.expansion > 1 and 0 < self.contraction < 1 and 0 < self.shrink < 1):
-            raise ValueError("Nelder-Mead coefficients outside admissible ranges")
-        if self.initial_edge <= 0 or self.reboot_scale <= 1:
-            raise ValueError("initial_edge must be positive and reboot_scale > 1")
-        if min(self.max_iterations, self.max_evaluations, self.stagnation_window) < 1 or self.max_reboots < 0:
-            raise ValueError("iteration counts must be positive")
+        if self.initial_edge <= 0 or min(self.max_evaluations, self.stagnation_window) < 1 or self.max_reboots < 0:
+            raise ValueError("initial_edge, max_evaluations and stagnation_window must be > 0, max_reboots >= 0")
 
 
 @dataclass
@@ -325,7 +318,7 @@ class NelderMead:
         best_history = [trace.best_cost]  # best cost after each iteration
         iters_since_reboot = 0
 
-        while trace.n_iterations < cfg.max_iterations and trace.n_evaluations < cfg.max_evaluations:
+        while trace.n_evaluations < cfg.max_evaluations:
             order = values.argsort(kind="stable")
             simplex, values = simplex[order], values[order]
 
@@ -334,11 +327,11 @@ class NelderMead:
             diameter = _simplex_diameter(simplex)
             if iters_since_reboot >= cfg.stagnation_window:
                 window_start = best_history[-cfg.stagnation_window - 1]
-                stagnant = window_start - trace.best_cost < cfg.stagnation_tol
+                stagnant = window_start - trace.best_cost < STAGNATION_TOL
                 if stagnant and diameter < cfg.collapse_diameter and trace.n_reboots < cfg.max_reboots:
                     trace.n_reboots += 1
                     self._reboot = True
-                    simplex = _initial_simplex(trace.best_point, cfg.reboot_scale * cfg.initial_edge)
+                    simplex = _initial_simplex(trace.best_point, REBOOT_SCALE * cfg.initial_edge)
                     values = yield simplex
                     best_history = [trace.best_cost]
                     iters_since_reboot = 0
@@ -352,11 +345,11 @@ class NelderMead:
 
             centroid = np.add.reduce(simplex[:-1]) / (len(simplex) - 1)
             worst = simplex[-1]
-            reflected = centroid + cfg.reflection * (centroid - worst)
+            reflected = centroid + REFLECTION * (centroid - worst)
             (f_reflected,) = yield reflected[None]
 
             if f_reflected < values[0]:
-                expanded = centroid + cfg.expansion * (reflected - centroid)
+                expanded = centroid + EXPANSION * (reflected - centroid)
                 (f_expanded,) = yield expanded[None]
                 if f_expanded < f_reflected:
                     simplex[-1], values[-1] = expanded, f_expanded
@@ -366,15 +359,15 @@ class NelderMead:
                 simplex[-1], values[-1] = reflected, f_reflected
             else:
                 if f_reflected < values[-1]:
-                    contracted = centroid + cfg.contraction * (reflected - centroid)
+                    contracted = centroid + CONTRACTION * (reflected - centroid)
                 else:
-                    contracted = centroid + cfg.contraction * (worst - centroid)
+                    contracted = centroid + CONTRACTION * (worst - centroid)
                 (f_contracted,) = yield contracted[None]
                 if f_contracted < min(f_reflected, values[-1]):
                     simplex[-1], values[-1] = contracted, f_contracted
                 else:
                     # Shrink toward the best vertex.
-                    simplex[1:] = simplex[0] + cfg.shrink * (simplex[1:] - simplex[0])
+                    simplex[1:] = simplex[0] + SHRINK * (simplex[1:] - simplex[0])
                     values[1:] = yield simplex[1:]
 
             best_history.append(trace.best_cost)
@@ -398,15 +391,15 @@ class Task:
     """A trainable objective over a phase vector of given size: ``costs(points, restarts)``
     maps (B, dim) points, asked for by the restarts named row by row, to their (B,)
     costs and the (B, S, 3) outcomes of the labelled ``states`` (None without states),
-    and ``cost`` is its batch of one.  A stateful cost, such as a sampled one, keeps
-    one stream per restart; others ignore it."""
+    and ``cost`` is its batch of one, for restart 0.  A stateful cost, such as a sampled
+    one, keeps one stream per restart; others ignore it."""
 
     dim: int
     costs: Callable[[np.ndarray, Sequence[int]], tuple[np.ndarray, np.ndarray | None]]
     states: tuple[str, ...] = ()
 
-    def cost(self, point: np.ndarray, restart: int = 0) -> tuple[float, np.ndarray | None]:
-        costs, outcomes = self.costs(np.asarray(point, dtype=float)[None], [restart])
+    def cost(self, point: np.ndarray) -> tuple[float, np.ndarray | None]:
+        costs, outcomes = self.costs(np.asarray(point, dtype=float)[None], [0])
         return float(costs[0]), None if outcomes is None else outcomes[0]
 
 

@@ -20,6 +20,9 @@ import numpy as np
 from .cloner import QubitState, four_mode_spec, measurement_path_probabilities, outcomes
 from .mesh import MeshSpec
 
+#: The most shots one evaluation can draw: numpy's multinomial takes a C long.
+MAX_SHOTS = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -29,8 +32,8 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.shots is not None and self.shots < 1:
-            raise ValueError("shots must be at least 1 (or None for exact mode)")
+        if self.shots is not None and not 1 <= self.shots <= MAX_SHOTS:
+            raise ValueError(f"shots must be from 1 to {MAX_SHOTS} (or None for exact mode)")
 
 
 def sample_counts(

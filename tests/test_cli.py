@@ -121,18 +121,22 @@ FOUR_CELL_MESH = {"mode_count": 4, "cells": [{"modes": [1, 2]}, {"modes": [0, 1]
         ({"noise": {"shots": 0}}, [], "noise.shots"),
         ({**SD_CONFIG, "pair": {"a": {"theta": math.nan, "phi": 0.0}, "b": SD_CONFIG["pair"]["b"]}},
          [], "pair.a.theta"),
-        ({"nm": {"stagnation_tol": math.nan}}, [], "nm.stagnation_tol"),
+        ({"nm": {"collapse_diameter": math.nan}}, [], "nm.collapse_diameter"),
         ({"nm": {"initial_edge": math.inf}}, [], "nm.initial_edge"),
         ({"restarts": 2.0}, [], "restarts"),
         ({"seed": 1.0}, [], "seed"),
         ({"nm": {"max_evaluations": 20.0}}, [], "nm.max_evaluations"),
         ({"nm": {"stagnation_window": 3.0}}, [], "nm.stagnation_window"),
-        ({"nm": {"reflection": True}}, [], "nm.reflection"),
+        ({"nm": {"collapse_diameter": True}}, [], "nm.collapse_diameter"),
         ({"mesh": {"mode_count": 4, "cells": [5]}}, [], "mesh.cells.0"),
         ({"mesh": {"mode_count": 4, "cells": [{"modes": [0, 1.0]}]}}, [], "mesh"),
         ({"mesh": {**FOUR_CELL_MESH, "fixed_coupler": [[1, 2]]}}, [], "mesh.fixed_coupler"),
         ({"mesh": {"mode_count": 4, "cells": [{"modes": [0, 1], "phase_index": 0}]}}, [],
          "mesh.cells.0.phase_index"),
+        ({"nm": {"max_iterations": 10}}, [], "nm.max_iterations"),
+        ({"nm": {"shrink": 0.5}}, [], "nm.shrink"),
+        ({"noise": {"shots": 2**63}}, [], "noise.shots"),
+        ({}, ["--shots", str(2**63)], "--shots"),
     ],
 )
 def test_train_bad_input_fails_before_run_dir(tmp_path, runner, overrides, args, field):

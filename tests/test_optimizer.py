@@ -545,12 +545,9 @@ def test_task_costs_round_as_python_floats():
 
 
 def test_nmconfig_validation():
-    with pytest.raises(ValueError):
-        NMConfig(expansion=0.5)
-    with pytest.raises(ValueError):
-        NMConfig(reboot_scale=0.5)
-    with pytest.raises(ValueError):
-        NMConfig(max_evaluations=0)
+    for bad in ({"initial_edge": 0}, {"max_evaluations": 0}, {"stagnation_window": 0}, {"max_reboots": -1}):
+        with pytest.raises(ValueError):
+            NMConfig(**bad)
 
 
 # ------------------------------------------------------------ validate sweep

@@ -132,6 +132,14 @@ def test_zero_coincidences_flagged_invalid():
     assert est.f1 == est.f2 == est.p_post == 0.0
 
 
+def test_few_coincidences_in_many_shots_are_support():
+    # At 10**13 shots, 5 coincidences give P_post = 5e-13, below ZERO_SUPPORT_TOL; the
+    # row is still valid, so its fidelities are the counted ones, not zeros.
+    est = estimate_outcome([3, 1, 1, 0], 10**13)
+    assert est.valid
+    assert (est.f1, est.f2, est.p_post) == (0.8, 0.8, 5e-13)
+
+
 _count_rows = st.lists(
     st.one_of(st.just((0, 0, 0, 0)), st.tuples(*[st.integers(0, 3000)] * 4)), min_size=1, max_size=8
 )
@@ -239,6 +247,15 @@ def test_sampled_evaluator_deterministic_stream():
 
 
 def test_noise_config_validation():
-    with pytest.raises(ValueError):
-        NoiseConfig(shots=0)
+    for shots in (0, 2**63):
+        with pytest.raises(ValueError):
+            NoiseConfig(shots=shots)
     NoiseConfig(shots=None)  # exact mode allowed
+
+
+def test_most_shots_sample():
+    # The largest budget NoiseConfig takes is one numpy's multinomial can draw.
+    shots = NoiseConfig(shots=2**63 - 1).shots
+    counts = sample_counts([0.1, 0.2, 0.3, 0.3], shots, rng=0)
+    est = estimate_outcome(counts, shots)
+    assert est.valid and est.p_post == pytest.approx(0.9, abs=1e-6)

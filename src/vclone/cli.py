@@ -88,6 +88,8 @@ def _mesh(value, path) -> None:
 
 # The float max bound also turns away NaN, +-Infinity and integers too big for a float.
 _NUMBER = _leaf(lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number")
+_NON_NEGATIVE = _leaf(lambda v: type(v) in (int, float) and 0 <= v <= sys.float_info.max, "a finite number >= 0")
+_POSITIVE = _leaf(lambda v: type(v) in (int, float) and 0 < v <= sys.float_info.max, "a finite number > 0")
 _STATE = _object({"theta": _NUMBER, "phi": _NUMBER}, ("theta", "phi"))
 _SHOTS = _leaf(lambda v: v == "exact" or type(v) is int and 1 <= v <= sampler.MAX_SHOTS,
                f'an integer from 1 to {sampler.MAX_SHOTS} or "exact"')
@@ -96,10 +98,11 @@ _CONFIG = _object({
     "seed": _integer(),
     "mesh": _mesh,
     "angle_unit": _leaf(lambda v: v == "rad", '"rad"'),
-    "lambda": _leaf(lambda v: type(v) in (int, float) and 0 <= v <= sys.float_info.max, "a finite number >= 0"),
+    "lambda": _NON_NEGATIVE,
     "pair": _object({"a": _STATE, "b": _STATE}, ("a", "b")),
     "nm": _object({  # every NMConfig field but the seed, which is the run's
-        f.name: _integer(0 if f.name == "max_reboots" else 1) if f.type == "int" else _NUMBER
+        f.name: _integer(0 if f.name == "max_reboots" else 1) if f.type == "int"
+        else _POSITIVE if f.name == "initial_edge" else _NON_NEGATIVE
         for f in dataclasses.fields(optimizer.NMConfig) if f.name != "seed"
     }),
     "noise": _object({"shots": _SHOTS, "seed": _integer()}),

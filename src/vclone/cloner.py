@@ -16,9 +16,10 @@ permanent, so the closed-form kernel (``clone_outcomes``,
 ``measurement_path_probabilities``) is the production path; ``run_cloner``
 keeps the general Fock path (``fock.evolve``) as its test oracle.
 
-Outside that oracle only ``outcomes`` forms (F1, F2, P_post), from exact
-weights (the kernel, the measurement path) or from the sampler's coincidence
-counts, whose infinite-shot limit the exact weights are.
+Outside that oracle only ``outcomes`` forms (F1, F2, P_post), from the four
+coincidence-pattern weights after the measurement stage: their probabilities
+(``measurement_path_probabilities``) on an exact run, the sampler's counts of
+them, which estimate those probabilities, on a noisy one.
 """
 
 from __future__ import annotations
@@ -140,19 +141,22 @@ def _coincidence_amplitudes(u: np.ndarray, kets: np.ndarray) -> np.ndarray:
     return v[..., :2, None] * w[..., None, 2:] + w[..., :2, None] * v[..., None, 2:]
 
 
-def outcomes(total, weight1, weight2, shots=1) -> np.ndarray:
-    """(..., 3) array of (F1, F2, P_post) from accepted weights.
+def outcomes(patterns, shots=1) -> np.ndarray:
+    """(..., 3) array of (F1, F2, P_post) from coincidence-pattern weights (..., 4).
 
-    ``total`` is the accepted (coincidence) weight and ``weight_i`` the part of it
-    with clone i in psi, as probabilities (``shots`` 1) or as counts out of
-    ``shots`` trials.  F_i = weight_i / total clamped to [0, 1] and P_post = total / shots
-    clamped to 1; zero support (total < ZERO_SUPPORT_TOL: for counts, no coincidence)
-    gives all zeros.
+    ``patterns`` holds the weights of the accepted patterns in logical order
+    (00, 01, 10, 11), as probabilities (``shots`` 1) or as counts out of ``shots``
+    trials; bit 0 means that clone's photon exits its success rail.  With total
+    the sum of the four, F1 = (p00 + p01) / total and F2 = (p00 + p10) / total
+    clamped to [0, 1], and P_post = total / shots clamped to 1; zero support
+    (total < ZERO_SUPPORT_TOL: for counts, no coincidence) gives all zeros.
     """
-    total = np.asarray(total)
+    p = np.asarray(patterns)
+    total = p.sum(axis=-1)
     support = np.asarray(total >= ZERO_SUPPORT_TOL)
     denominator = np.where(support, total, 1.0)
-    out = np.stack([weight1 / denominator, weight2 / denominator, total / shots], axis=-1)
+    out = np.stack([(p[..., 0] + p[..., 1]) / denominator, (p[..., 0] + p[..., 2]) / denominator,
+                    total / shots], axis=-1)
     np.clip(out, 0.0, 1.0, out=out)
     out[~support] = 0.0
     return out
@@ -165,17 +169,11 @@ def clone_outcomes(
 ) -> np.ndarray:
     """Closed-form outcome of each state at phase vectors (..., n_phases), from one mesh build.
 
-    Returns a (..., S, 3) array: (F1, F2, P_post) of each (phase vector, state) pair.
-    P_post = sum |A|^2; F_i projects clone i's index of A onto <psi|.  Equals
-    ``run_cloner`` to rounding, zero support (all zeros) included.
+    Returns a (..., S, 3) array: (F1, F2, P_post) of each (phase vector, state)
+    pair, the ``outcomes`` of its measurement-stage pattern probabilities.
+    Equals ``run_cloner`` to rounding, zero support (all zeros) included.
     """
-    kets = StateStack(states).kets
-    amps = _coincidence_amplitudes(build_mesh(four_mode_spec(spec), params), kets)
-    bra = kets.conj()[:, :, None]
-    p_post = (np.abs(amps) ** 2).sum(axis=(-2, -1))
-    weight1 = (np.abs(bra[:, 0] * amps[..., 0, :] + bra[:, 1] * amps[..., 1, :]) ** 2).sum(axis=-1)
-    weight2 = (np.abs(bra[:, 0] * amps[..., :, 0] + bra[:, 1] * amps[..., :, 1]) ** 2).sum(axis=-1)
-    return outcomes(p_post, weight1, weight2)
+    return outcomes(measurement_path_probabilities(params, states, spec))
 
 
 def run_cloner(
@@ -276,7 +274,7 @@ def measurement_path_outcome(
     success rail given a coincidence; equals the density-matrix path.
     """
     p = measurement_path_probabilities(params, [psi], spec)[0]
-    return CloningOutcome(*outcomes(p.sum(), p[0] + p[1], p[0] + p[2]).tolist())
+    return CloningOutcome(*outcomes(p).tolist())
 
 
 def equatorial_fidelity_profile(rho: np.ndarray, phis: np.ndarray) -> np.ndarray:

@@ -64,8 +64,10 @@ class NMConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.initial_edge <= 0 or min(self.max_evaluations, self.stagnation_window) < 1 or self.max_reboots < 0:
-            raise ValueError("initial_edge, max_evaluations and stagnation_window must be > 0, max_reboots >= 0")
+        if (self.initial_edge <= 0 or min(self.max_evaluations, self.stagnation_window) < 1
+                or self.collapse_diameter < 0 or self.max_reboots < 0):
+            raise ValueError("initial_edge, max_evaluations and stagnation_window must be > 0, "
+                             "collapse_diameter and max_reboots >= 0")
 
 
 @dataclass

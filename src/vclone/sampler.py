@@ -6,7 +6,9 @@ build gives the measurement-stage distribution of every state at every phase
 vector of a call, whichever restarts asked for them.  Each restart draws its
 own rows from its own seeded generator, one multinomial call per restart: N
 trials per state (four coincidence patterns plus a rejected bin).  Fidelities
-are estimated from conditional counts as on the device, for all rows at once.
+are estimated from conditional counts as on the device, for all rows at once,
+by ``cloner.outcomes``: an exact run applies it to the probabilities the
+counts estimate.
 """
 
 from __future__ import annotations
@@ -101,16 +103,6 @@ class EstimatedOutcome:
         return _binomial_err(self.p_post, self.shots)
 
 
-def _count_outcomes(counts: np.ndarray, shots: int) -> np.ndarray:
-    """``cloner.outcomes`` of coincidence counts (..., 4) in logical order (00, 01, 10, 11).
-
-    Bit 0 means the clone photon exited its success rail, so F_i is the fraction of
-    coincidences with the pair-i photon there; a row without coincidences is all 0.
-    """
-    return outcomes(counts.sum(axis=-1), counts[..., 0] + counts[..., 1],
-                    counts[..., 0] + counts[..., 2], shots)
-
-
 def estimate_outcome(counts: np.ndarray | list[int], shots: int) -> EstimatedOutcome:
     """Estimate (F1, F2, P_post) from one row of four coincidence-pattern counts; a row
     with zero coincidences is invalid, with all values 0."""
@@ -118,7 +110,7 @@ def estimate_outcome(counts: np.ndarray | list[int], shots: int) -> EstimatedOut
     if counts.shape != (4,):
         raise ValueError("expected the four coincidence-pattern counts")
     coincidences = int(counts.sum())
-    f1, f2, p_post = _count_outcomes(counts, shots).tolist()
+    f1, f2, p_post = outcomes(counts, shots).tolist()
     return EstimatedOutcome(f1, f2, p_post, coincidences, shots, coincidences > 0)
 
 
@@ -147,6 +139,6 @@ def sampled_evaluator(noise: NoiseConfig, spec: MeshSpec | None = None) -> Calla
         for r in set(owners.tolist()) - rngs.keys():
             rngs[r] = np.random.default_rng(noise.seed + r)
         counts = sample_counts(rows, shots, rngs, owners)
-        return _count_outcomes(counts, shots).reshape(*probs.shape[:-1], 3)
+        return outcomes(counts, shots).reshape(*probs.shape[:-1], 3)
 
     return evaluate

@@ -109,7 +109,7 @@ FOUR_CELL_MESH = {"mode_count": 4, "cells": [{"modes": [1, 2]}, {"modes": [0, 1]
     [
         ({}, ["--shots", "abc"], "--shots"),
         ({}, ["--shots", "0"], "--shots"),
-        ({"nm": {"initial_edge": -1}}, [], "nm"),
+        ({"nm": {"initial_edge": -1}}, [], "nm.initial_edge"),
         ({"mesh": FIVE_MODE_MESH}, [], "mesh"),
         ({"mesh": {"mode_count": 4, "cells": [{"modes": 1}]}}, [], "mesh"),
         ({"seed": -3}, [], "seed"),
@@ -137,6 +137,8 @@ FOUR_CELL_MESH = {"mode_count": 4, "cells": [{"modes": [1, 2]}, {"modes": [0, 1]
         ({"nm": {"shrink": 0.5}}, [], "nm.shrink"),
         ({"noise": {"shots": 2**63}}, [], "noise.shots"),
         ({}, ["--shots", str(2**63)], "--shots"),
+        ({"nm": {"initial_edge": 0}}, [], "nm.initial_edge"),
+        ({"nm": {"collapse_diameter": -1}}, [], "nm.collapse_diameter"),
     ],
 )
 def test_train_bad_input_fails_before_run_dir(tmp_path, runner, overrides, args, field):

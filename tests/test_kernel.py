@@ -73,6 +73,16 @@ def test_kernel_matches_run_cloner(spec_params, states):
         assert np.all((0.0 <= row) & (row <= 1.0))
 
 
+@settings(max_examples=200, deadline=None)
+@given(_spec_and_params, _states)
+def test_kernel_rows_are_the_measurement_path_outcomes(spec_params, states):
+    # One probability path: each kernel row is bitwise its state's measurement-stage outcome.
+    spec, params = spec_params
+    outs = clone_outcomes(params, states, spec)
+    for psi, row in zip(states, outs.tolist()):
+        assert CloningOutcome(*row) == measurement_path_outcome(params, psi, spec)
+
+
 def measurement_rotation(psi):
     """Reference measurement stage W on a clone pair: first row <psi|, so psi maps to the |0> rail."""
     c, s = math.cos(psi.theta), math.sin(psi.theta)

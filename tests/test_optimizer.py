@@ -545,7 +545,8 @@ def test_task_costs_round_as_python_floats():
 
 
 def test_nmconfig_validation():
-    for bad in ({"initial_edge": 0}, {"max_evaluations": 0}, {"stagnation_window": 0}, {"max_reboots": -1}):
+    for bad in ({"initial_edge": 0}, {"max_evaluations": 0}, {"stagnation_window": 0}, {"collapse_diameter": -1},
+                {"max_reboots": -1}):
         with pytest.raises(ValueError):
             NMConfig(**bad)
 

@@ -166,9 +166,7 @@ def test_outcomes_of_counts_equal_estimate_outcome(rows, rejected):
     # cloner.outcomes on count rows, as the sampled evaluator calls it, against the
     # scalar reference and estimate_outcome, all-zero rows included.
     shots = max(sum(row) for row in rows) + rejected or 1
-    counts = np.array(rows)
-    batch = cloner.outcomes(counts.sum(axis=-1), counts[:, 0] + counts[:, 1],
-                            counts[:, 0] + counts[:, 2], shots)
+    batch = cloner.outcomes(np.array(rows), shots)
     for row, estimate in zip(rows, batch.tolist()):
         one = estimate_outcome(row, shots)
         values = tuple(getattr(one, k) for k in _ESTIMATES)

@@ -2,9 +2,10 @@
 
 Subpackages:
     mesh      -- interferometer unitaries from Mach-Zehnder cells
-    fock      -- multiphoton evolution via permanents and post-selection (the oracle)
-    cloner    -- dual-rail encoding and the closed-form two-photon kernel;
-                 run_cloner is the Fock-space oracle
+    cloner    -- dual-rail encoding and the closed-form two-photon kernel
+    fock      -- the test oracle: multiphoton evolution via permanents,
+                 post-selection and the density-matrix cloner (run_cloner);
+                 training never imports it
     optimizer -- the training tasks (the one definition of each cost),
                  Nelder-Mead with reboots, training, validation sweeps
     sampler   -- finite-statistics coincidence counting for noisy runs

@@ -25,7 +25,7 @@ import click
 import numpy as np
 
 from . import __version__
-from . import cloner, fock, optimizer, sampler
+from . import cloner, optimizer, sampler
 from .cloner import QubitState
 from .mesh import MeshSpec, wrap_phases
 
@@ -131,13 +131,16 @@ def check_config(
         for key in ("lambda", "pair"):
             if key not in config:
                 _fail((key,), 'missing; task "sd" needs it')
-    built = []
-    for key, build in (("mesh", mesh_from_config), ("noise", noise_from_config), ("nm", nm_from_config)):
-        try:
-            built.append(build(config))
-        except (ValueError, TypeError) as exc:
-            _fail((key,), str(exc))
-    return tuple(built)
+    return tuple(_build(config, key, build)
+                 for key, build in (("mesh", mesh_from_config), ("noise", noise_from_config), ("nm", nm_from_config)))
+
+
+def _build(config: dict, key: str, build):
+    """``build(config)``; a ValueError or TypeError fails as ``ConfigError("invalid <key>: ...")``."""
+    try:
+        return build(config)
+    except (ValueError, TypeError) as exc:
+        _fail((key,), str(exc))
 
 
 def load_config(path: Path) -> tuple[dict, bytes]:
@@ -263,7 +266,10 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
     task = exact if noise.shots is None else make_task(evaluator=sampler.sampled_evaluator(noise, spec))
 
     run_dir = Path(out_dir or config.get("output_dir", "runs/latest"))
-    run_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. the path or a parent is a file: fail before writing anything
+        _fail(("--out",) if out_dir else ("output_dir",), str(exc))
     (run_dir / "config.json").write_text(json.dumps(config, indent=2) + "\n")
     best, traces = optimizer.train(task, cfg, restarts)
 
@@ -350,22 +356,30 @@ def cmd_validate(params_path: Path, count: int, out_path: Path | None) -> None:
         params_path = params_path / "best_params.json"
     if not params_path.exists():
         raise click.ClickException(f"no parameters file at {params_path}")
-    # Sweep on the run's own mesh, from the config.json that train writes alongside.
+    # Sweep on the run's own mesh, from the config.json that train writes alongside.  Only
+    # the mesh is checked and read, so a config with keys an earlier version took still works.
     config_path = params_path.parent / "config.json"
-    spec = mesh_from_config(load_config(config_path)[0]) if config_path.exists() else None
-    params = _read_phases(params_path, cloner.four_mode_spec(spec).n_phases)
+    config = _read_config(config_path)[0] if config_path.exists() else {}
+    _expect(type(config) is dict, (), "an object", config)
+    _mesh(config.get("mesh", "four_mode_core"), ("mesh",))
+    spec = _build(config, "mesh", mesh_from_config)
+    params = _read_phases(params_path, spec.n_phases)
 
     rows = optimizer.validate_sweep(params, count=count, spec=spec)
+    source = ("--out",) if out_path else ("--params",)
     out_path = Path(out_path) if out_path else params_path.parent / "sweep.csv"
-    _write_csv(
-        out_path,
-        ["phi", "f1", "f2", "p_post", "f_optimal", "f_semiclassical"],
-        [
-            (f"{phi:.12f}", f"{f1:.12f}", f"{f2:.12f}", f"{p:.12f}",
-             f"{cloner.OPTIMAL_EQUATORIAL_FIDELITY:.12f}", f"{cloner.SEMICLASSICAL_FIDELITY:.12f}")
-            for phi, f1, f2, p in rows
-        ],
-    )
+    try:
+        _write_csv(
+            out_path,
+            ["phi", "f1", "f2", "p_post", "f_optimal", "f_semiclassical"],
+            [
+                (f"{phi:.12f}", f"{f1:.12f}", f"{f2:.12f}", f"{p:.12f}",
+                 f"{cloner.OPTIMAL_EQUATORIAL_FIDELITY:.12f}", f"{cloner.SEMICLASSICAL_FIDELITY:.12f}")
+                for phi, f1, f2, p in rows
+            ],
+        )
+    except OSError as exc:  # e.g. the path is a directory
+        _fail(source, str(exc))
     if (out_path.parent / "manifest.json").exists():
         manifest = RunManifest(out_path.parent)
         manifest.add_file(out_path)
@@ -395,7 +409,10 @@ def cmd_report(run_dir: Path) -> None:
     best = min(traces, key=lambda t: t.best_cost)
 
     report_dir = run_dir / "report"
-    report_dir.mkdir(exist_ok=True)
+    try:
+        report_dir.mkdir(exist_ok=True)
+    except OSError as exc:  # e.g. report is a file
+        _fail(("--run",), str(exc))
 
     cost_rows, fid_rows = [], []
     best_cost, best_row = float("inf"), None
@@ -438,49 +455,17 @@ def cmd_report(run_dir: Path) -> None:
                 default="all")
 def cmd_oracle(which: str) -> None:
     """Run the built-in reference checks and report pass/fail."""
-    checks = []
-    if which in ("permanent", "all"):
-        checks.append(("permanent", _oracle_permanent))
-    if which in ("design-identity", "all"):
-        checks.append(("design-identity", _oracle_design_identity))
-    if which in ("semiclassical", "all"):
-        checks.append(("semiclassical", _oracle_semiclassical))
+    from . import fock  # the oracle, which no other command loads
 
     failed = False
-    for name, check in checks:
+    for name, check in fock.ORACLE_CHECKS.items():
+        if which not in (name, "all"):
+            continue
         ok, detail = check()
         status = "PASS" if ok else "FAIL"
         click.echo(f"[{status}] {name}: {detail}")
         failed |= not ok
     sys.exit(1 if failed else 0)
-
-
-def _oracle_permanent() -> tuple[bool, str]:
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(200):
-        n = int(rng.integers(2, 7))
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        worst = max(worst, abs(fock.permanent(m) - fock.permanent_naive(m)))
-    return worst < 1e-10, f"max |Ryser - naive| = {worst:.3e} (expected < 1e-10)"
-
-
-def _oracle_design_identity() -> tuple[bool, str]:
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(20):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho).real
-        lhs, rhs = cloner.design_identity_check(rho, quadrature_points=10_000)
-        worst = max(worst, abs(lhs - rhs))
-    return worst < 1e-6, f"max |integral - 4-point| = {worst:.3e} (expected < 1e-6)"
-
-
-def _oracle_semiclassical() -> tuple[bool, str]:
-    estimate = cloner.semiclassical_monte_carlo(1_000_000, seed=3)
-    err = abs(estimate - cloner.SEMICLASSICAL_FIDELITY)
-    return err < 0.002, f"Monte-Carlo {estimate:.4f} vs 0.750 (expected within 0.002)"
 
 
 if __name__ == "__main__":

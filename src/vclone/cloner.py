@@ -13,11 +13,12 @@ the clone-1 rail pair and one in the clone-2 rail pair.
 
 With one photon per injection rail each accepted amplitude is a 2x2
 permanent, so the closed-form kernel (``clone_outcomes``,
-``measurement_path_probabilities``) is the production path; ``run_cloner``
-keeps the general Fock path (``fock.evolve``) as its test oracle.
+``measurement_path_probabilities``) is the whole production path.  The
+general Fock path (``run_cloner``) is the test oracle in ``vclone.fock``,
+which training never imports.
 
-Outside that oracle only ``outcomes`` forms (F1, F2, P_post), from the four
-coincidence-pattern weights after the measurement stage: their probabilities
+Only ``outcomes`` forms (F1, F2, P_post), from the four coincidence-pattern
+weights after the measurement stage: their probabilities
 (``measurement_path_probabilities``) on an exact run, the sampler's counts of
 them, which estimate those probabilities, on a noisy one.
 """
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import ZERO_SUPPORT_TOL, FockAmplitudes, PostselectionRule, evolve, postselect
 from .mesh import MeshSpec, build_mesh
 
 #: Optimal symmetric equatorial-cloning fidelity, 1/2 + 1/sqrt(8).
@@ -42,7 +42,9 @@ SEMICLASSICAL_FIDELITY = 0.750
 #: Bloch phases of the four equatorial training states (X and Y eigenstates).
 TRAINING_PHASES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 
-_HERMITIAN_TOL = 1e-8
+#: Post-selection probabilities below this are treated as zero support.
+ZERO_SUPPORT_TOL = 1e-12
+
 _EQUATOR_THETA = math.pi / 4
 
 
@@ -65,10 +67,6 @@ class QubitState:
         """State on the Bloch equator: (|0> + e^{i phi}|1>) / sqrt(2)."""
         return cls(theta=_EQUATOR_THETA, phi=phi)
 
-    @classmethod
-    def zero(cls) -> "QubitState":
-        return cls(theta=0.0, phi=0.0)
-
 
 #: The device frame of the module docstring: each qubit's (|0> mode, |1> mode).
 CLONE1_RAILS = (0, 1)
@@ -89,15 +87,6 @@ class CloningOutcome:
     f1: float
     f2: float
     p_post: float
-
-
-def prep_unitary(psi: QubitState) -> np.ndarray:
-    """Preparation stage on the input rails, |0> -> psi; the ancilla is untouched."""
-    c, s = math.cos(psi.theta), math.sin(psi.theta)
-    e = np.exp(1j * psi.phi)
-    u = np.eye(4, dtype=complex)
-    u[np.ix_(INPUT_RAILS, INPUT_RAILS)] = [[c, -s / e], [s * e, c]]
-    return u
 
 
 def four_mode_spec(spec: MeshSpec | None) -> MeshSpec:
@@ -171,77 +160,9 @@ def clone_outcomes(
 
     Returns a (..., S, 3) array: (F1, F2, P_post) of each (phase vector, state)
     pair, the ``outcomes`` of its measurement-stage pattern probabilities.
-    Equals ``run_cloner`` to rounding, zero support (all zeros) included.
+    Equals ``fock.run_cloner`` to rounding, zero support (all zeros) included.
     """
     return outcomes(measurement_path_probabilities(params, states, spec))
-
-
-def run_cloner(
-    params: np.ndarray | list[float],
-    psi: QubitState,
-    spec: MeshSpec | None = None,
-) -> tuple[FockAmplitudes | None, CloningOutcome]:
-    """Evolve the two-photon input and post-select on the coincidence rule.
-
-    The general Fock-space path, kept as the oracle of ``clone_outcomes``.
-    Returns the normalized post-selected joint state (None on zero support)
-    and the cloning outcome.  Zero-support configurations report
-    P_post = 0 with both fidelities 0, keeping cost functions finite.
-    """
-    u = build_mesh(four_mode_spec(spec), params) @ prep_unitary(psi)
-    state = evolve(INPUT_OCCUPATION, u)
-    joint, p_post = postselect(state, PostselectionRule.coincidence(CLONE1_RAILS, CLONE2_RAILS))
-    if joint is None:
-        return None, CloningOutcome(f1=0.0, f2=0.0, p_post=0.0)
-    rho1 = reduced_clone(joint, 1)
-    rho2 = reduced_clone(joint, 2)
-    return joint, CloningOutcome(
-        f1=fidelity(rho1, psi), f2=fidelity(rho2, psi), p_post=p_post
-    )
-
-
-def joint_logical_state(joint: FockAmplitudes) -> np.ndarray:
-    """Post-selected joint state as a 2x2 amplitude array psi[a, b].
-
-    Index a is the clone-1 logical bit, b the clone-2 bit.  Raises if the
-    joint state has support outside the coincidence patterns.
-    """
-    amps = np.array([joint.amplitude(p) for p in COINCIDENCE_PATTERNS]).reshape(2, 2)
-    support = float(np.sum(np.abs(amps) ** 2))
-    if abs(support - joint.total_probability()) > 1e-10:
-        raise ValueError("joint state has support outside the coincidence patterns")
-    return amps
-
-
-def reduced_clone(joint: FockAmplitudes, which: int) -> np.ndarray:
-    """Reduced density matrix of one clone (partial trace over the other)."""
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    psi2 = joint_logical_state(joint)
-    if which == 1:
-        return psi2 @ psi2.conj().T
-    return psi2.T @ psi2.conj()
-
-
-def _validate_density(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError("density matrix must be 2x2")
-    if np.max(np.abs(rho - rho.conj().T)) > _HERMITIAN_TOL:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > _HERMITIAN_TOL:
-        raise ValueError("density matrix trace is not 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -_HERMITIAN_TOL:
-        raise ValueError("density matrix has a negative eigenvalue")
-    return rho
-
-
-def fidelity(rho: np.ndarray, psi: QubitState) -> float:
-    """Fidelity <psi|rho|psi> of a clone with the pure target state."""
-    rho = _validate_density(rho)
-    a = psi.amplitudes()
-    value = float(np.real(a.conj() @ rho @ a))
-    return min(max(value, 0.0), 1.0)
 
 
 def measurement_path_probabilities(
@@ -277,44 +198,9 @@ def measurement_path_outcome(
     return CloningOutcome(*outcomes(p).tolist())
 
 
-def equatorial_fidelity_profile(rho: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """<psi_phi|rho|psi_phi> for equatorial states, vectorized over phi."""
-    rho = np.asarray(rho, dtype=complex)
-    return 0.5 * np.real(rho[0, 0] + rho[1, 1] + 2.0 * rho[0, 1] * np.exp(1j * phis))
-
-
-def design_identity_check(
-    rho: np.ndarray, quadrature_points: int = 10_000
-) -> tuple[float, float]:
-    """Compare the equator average of (1-F_phi)^2 with its 4-point average.
-
-    For a fixed clone state the four X/Y eigenstates form an exact planar
-    2-design, so both sides agree up to quadrature error.
-    """
-    if quadrature_points < 100:
-        raise ValueError("need at least 100 quadrature points")
-    rho = _validate_density(rho)
-    phis = np.linspace(0.0, 2.0 * math.pi, quadrature_points + 1)
-    integrand = (1.0 - equatorial_fidelity_profile(rho, phis)) ** 2
-    lhs = float(np.trapezoid(integrand, phis) / (2.0 * math.pi))
-    four = (1.0 - equatorial_fidelity_profile(rho, np.array(TRAINING_PHASES))) ** 2
-    rhs = float(np.mean(four))
-    return lhs, rhs
-
-
-def semiclassical_monte_carlo(trials: int, seed: int = 0) -> float:
-    """Monte-Carlo estimate of the measure-and-prepare average fidelity.
-
-    Each trial draws a random equatorial input and measurement basis,
-    samples the outcome, and prepares copies in the measured basis state.
-    """
-    rng = np.random.default_rng(seed)
-    phi_in = rng.uniform(0.0, 2.0 * math.pi, trials)
-    phi_basis = rng.uniform(0.0, 2.0 * math.pi, trials)
-    # P(outcome along the basis state) for equatorial input and basis.
-    p = np.cos((phi_in - phi_basis) / 2.0) ** 2
-    outcome_along = rng.random(trials) < p
-    # Copies are the basis state or its antipode; fidelity with the input.
-    fid_along = p
-    fid_against = 1.0 - p
-    return float(np.mean(np.where(outcome_along, fid_along, fid_against)))
+def __getattr__(name: str):
+    """The oracle names perfbench/spans.py patches here, from ``vclone.fock`` on first access."""
+    if name not in ("run_cloner", "evolve", "postselect", "fidelity"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import fock
+    return getattr(fock, name)

@@ -1,4 +1,8 @@
-"""Multiphoton Fock-state evolution through a mode unitary.
+"""The test oracle: multiphoton Fock-state evolution and the density-matrix cloner.
+
+``vclone train``, ``validate`` and ``report`` never import this module: the
+tests check the closed-form kernel of ``vclone.cloner`` against its
+``run_cloner``, and ``vclone oracle`` runs its ``ORACLE_CHECKS``.
 
 Transition amplitudes follow the permanent rule
 
@@ -13,14 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from typing import Callable
 
 import numpy as np
 
-#: Post-selection probabilities below this are treated as zero support.
-ZERO_SUPPORT_TOL = 1e-12
+from .cloner import (CLONE1_RAILS, CLONE2_RAILS, COINCIDENCE_PATTERNS, INPUT_OCCUPATION, INPUT_RAILS,
+                     SEMICLASSICAL_FIDELITY, TRAINING_PHASES, ZERO_SUPPORT_TOL, CloningOutcome,
+                     QubitState, four_mode_spec)
+from .mesh import MeshSpec, build_mesh
+
+_HERMITIAN_TOL = 1e-8
 
 
 def permanent(matrix: np.ndarray) -> complex:
@@ -162,33 +169,14 @@ def evolve(input_state: tuple[int, ...] | list[int], u: np.ndarray) -> FockAmpli
     if n < 1:
         raise ValueError("input must carry at least one photon")
 
-    if n == 1:
-        # Single photon: plain matrix-vector action on the mode amplitudes.
-        col = occ.index(1)
-        amps = {}
-        for i in range(m):
-            pattern = tuple(1 if j == i else 0 for j in range(m))
-            amps[pattern] = complex(u[i, col])
-        return FockAmplitudes(n=n, m=m, amplitudes=amps)
-
     cols = [j for j, o in enumerate(occ) for _ in range(o)]
     norm_in = math.prod(math.factorial(o) for o in occ)
     amps = {}
-    for pattern, rows, norm_out in _pattern_table(n, m):
-        sub = u[np.ix_(rows, cols)]
-        amps[pattern] = permanent(sub) / math.sqrt(norm_in * norm_out)
-    return FockAmplitudes(n=n, m=m, amplitudes=amps)
-
-
-@lru_cache(maxsize=None)
-def _pattern_table(n: int, m: int) -> tuple:
-    # Pattern, repeated row indices, and output normalization, once per (n, m).
-    table = []
     for pattern in enumerate_patterns(n, m):
-        rows = tuple(i for i, o in enumerate(pattern) for _ in range(o))
+        rows = [i for i, o in enumerate(pattern) for _ in range(o)]
         norm_out = math.prod(math.factorial(o) for o in pattern)
-        table.append((pattern, rows, norm_out))
-    return tuple(table)
+        amps[pattern] = permanent(u[np.ix_(rows, cols)]) / math.sqrt(norm_in * norm_out)
+    return FockAmplitudes(n=n, m=m, amplitudes=amps)
 
 
 def postselect(
@@ -207,3 +195,145 @@ def postselect(
     scale = 1.0 / math.sqrt(p_post)
     normalized = {p: a * scale for p, a in accepted.items()}
     return FockAmplitudes(n=state.n, m=state.m, amplitudes=normalized), min(p_post, 1.0)
+
+
+def prep_unitary(psi: QubitState) -> np.ndarray:
+    """Preparation stage on the input rails, |0> -> psi; the ancilla is untouched."""
+    c, s = math.cos(psi.theta), math.sin(psi.theta)
+    e = np.exp(1j * psi.phi)
+    u = np.eye(4, dtype=complex)
+    u[np.ix_(INPUT_RAILS, INPUT_RAILS)] = [[c, -s / e], [s * e, c]]
+    return u
+
+
+def run_cloner(params: np.ndarray | list[float], psi: QubitState,
+               spec: MeshSpec | None = None) -> tuple[FockAmplitudes | None, CloningOutcome]:
+    """Evolve the two-photon input and post-select on the coincidence rule.
+
+    The general Fock-space path, kept as the oracle of ``cloner.clone_outcomes``.
+    Returns the normalized post-selected joint state (None on zero support)
+    and the cloning outcome.  Zero-support configurations report
+    P_post = 0 with both fidelities 0, keeping cost functions finite.
+    """
+    u = build_mesh(four_mode_spec(spec), params) @ prep_unitary(psi)
+    state = evolve(INPUT_OCCUPATION, u)
+    joint, p_post = postselect(state, PostselectionRule.coincidence(CLONE1_RAILS, CLONE2_RAILS))
+    if joint is None:
+        return None, CloningOutcome(f1=0.0, f2=0.0, p_post=0.0)
+    f1, f2 = (fidelity(reduced_clone(joint, which), psi) for which in (1, 2))
+    return joint, CloningOutcome(f1, f2, p_post)
+
+
+def joint_logical_state(joint: FockAmplitudes) -> np.ndarray:
+    """Post-selected joint state as a 2x2 amplitude array psi[a, b].
+
+    Index a is the clone-1 logical bit, b the clone-2 bit.  Raises if the
+    joint state has support outside the coincidence patterns.
+    """
+    amps = np.array([joint.amplitude(p) for p in COINCIDENCE_PATTERNS]).reshape(2, 2)
+    support = float(np.sum(np.abs(amps) ** 2))
+    if abs(support - joint.total_probability()) > 1e-10:
+        raise ValueError("joint state has support outside the coincidence patterns")
+    return amps
+
+
+def reduced_clone(joint: FockAmplitudes, which: int) -> np.ndarray:
+    """Reduced density matrix of one clone (partial trace over the other)."""
+    if which not in (1, 2):
+        raise ValueError("which must be 1 or 2")
+    psi2 = joint_logical_state(joint)
+    if which == 1:
+        return psi2 @ psi2.conj().T
+    return psi2.T @ psi2.conj()
+
+
+def _validate_density(rho: np.ndarray) -> np.ndarray:
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise ValueError("density matrix must be 2x2")
+    if np.max(np.abs(rho - rho.conj().T)) > _HERMITIAN_TOL:
+        raise ValueError("density matrix is not Hermitian")
+    if abs(np.trace(rho).real - 1.0) > _HERMITIAN_TOL:
+        raise ValueError("density matrix trace is not 1")
+    if np.min(np.linalg.eigvalsh(rho)) < -_HERMITIAN_TOL:
+        raise ValueError("density matrix has a negative eigenvalue")
+    return rho
+
+
+def fidelity(rho: np.ndarray, psi: QubitState) -> float:
+    """Fidelity <psi|rho|psi> of a clone with the pure target state."""
+    rho = _validate_density(rho)
+    a = psi.amplitudes()
+    value = float(np.real(a.conj() @ rho @ a))
+    return min(max(value, 0.0), 1.0)
+
+
+def equatorial_fidelity_profile(rho: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """<psi_phi|rho|psi_phi> for equatorial states, vectorized over phi."""
+    rho = np.asarray(rho, dtype=complex)
+    return 0.5 * np.real(rho[0, 0] + rho[1, 1] + 2.0 * rho[0, 1] * np.exp(1j * phis))
+
+
+def design_identity_check(rho: np.ndarray, quadrature_points: int = 10_000) -> tuple[float, float]:
+    """Compare the equator average of (1-F_phi)^2 with its 4-point average.
+
+    For a fixed clone state the four X/Y eigenstates form an exact planar
+    2-design, so both sides agree up to quadrature error.
+    """
+    if quadrature_points < 100:
+        raise ValueError("need at least 100 quadrature points")
+    rho = _validate_density(rho)
+    phis = np.linspace(0.0, 2.0 * math.pi, quadrature_points + 1)
+    integrand = (1.0 - equatorial_fidelity_profile(rho, phis)) ** 2
+    lhs = float(np.trapezoid(integrand, phis) / (2.0 * math.pi))
+    four = (1.0 - equatorial_fidelity_profile(rho, np.array(TRAINING_PHASES))) ** 2
+    return lhs, float(np.mean(four))
+
+
+def semiclassical_monte_carlo(trials: int, seed: int = 0) -> float:
+    """Monte-Carlo estimate of the measure-and-prepare average fidelity.
+
+    Each trial draws a random equatorial input and measurement basis,
+    samples the outcome, and prepares copies in the measured basis state.
+    """
+    rng = np.random.default_rng(seed)
+    phi_in = rng.uniform(0.0, 2.0 * math.pi, trials)
+    phi_basis = rng.uniform(0.0, 2.0 * math.pi, trials)
+    # P(outcome along the basis state) for equatorial input and basis.
+    p = np.cos((phi_in - phi_basis) / 2.0) ** 2
+    outcome_along = rng.random(trials) < p
+    # Copies are the basis state or its antipode: fidelity p or 1 - p with the input.
+    return float(np.mean(np.where(outcome_along, p, 1.0 - p)))
+
+
+def _oracle_permanent() -> tuple[bool, str]:
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        worst = max(worst, abs(permanent(m) - permanent_naive(m)))
+    return worst < 1e-10, f"max |Ryser - naive| = {worst:.3e} (expected < 1e-10)"
+
+
+def _oracle_design_identity() -> tuple[bool, str]:
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(20):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        lhs, rhs = design_identity_check(rho, quadrature_points=10_000)
+        worst = max(worst, abs(lhs - rhs))
+    return worst < 1e-6, f"max |integral - 4-point| = {worst:.3e} (expected < 1e-6)"
+
+
+def _oracle_semiclassical() -> tuple[bool, str]:
+    estimate = semiclassical_monte_carlo(1_000_000, seed=3)
+    err = abs(estimate - SEMICLASSICAL_FIDELITY)
+    return err < 0.002, f"Monte-Carlo {estimate:.4f} vs 0.750 (expected within 0.002)"
+
+
+#: The ``vclone oracle`` checks by name, in run order; each returns (passed, detail).
+ORACLE_CHECKS = {"permanent": _oracle_permanent, "design-identity": _oracle_design_identity,
+                 "semiclassical": _oracle_semiclassical}

@@ -23,19 +23,10 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-#: Tolerance used by the unitarity checks throughout this module.
-UNITARITY_TOL = 1e-12
-
 
 def wrap_phases(values: np.ndarray | list[float]) -> np.ndarray:
     """Reduce phase values modulo 2*pi into [0, 2*pi)."""
     return np.asarray(values, dtype=float) % TWO_PI
-
-
-def is_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    """Check max-abs deviation of U^dag U from the identity."""
-    u = np.asarray(u)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))) < tol
 
 
 def mzi_unitary(theta: float | np.ndarray, phi: float | np.ndarray) -> np.ndarray:

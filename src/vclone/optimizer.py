@@ -21,7 +21,6 @@ import numpy as np
 
 from . import cloner
 from .cloner import QubitState, clone_outcomes
-from .cloner import run_cloner  # noqa: F401  the oracle, patched here by perfbench/spans.py
 from .mesh import MeshSpec
 
 #: Version 2: a JSON header line, then one JSON line per column.  Version 1,
@@ -502,3 +501,11 @@ def validate_sweep(
     states = [QubitState.equatorial(phi) for phi in phis]
     outs = clone_outcomes(np.asarray(params, dtype=float), states, spec)
     return [(phi, f1, f2, p) for phi, (f1, f2, p) in zip(phis, outs.tolist())]
+
+
+def __getattr__(name: str):
+    """``run_cloner``, the oracle perfbench/spans.py patches here, from ``vclone.fock`` on first access."""
+    if name != "run_cloner":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .fock import run_cloner
+    return run_cloner

@@ -55,7 +55,7 @@ def test_criterion_01_phase_covariant_optimum(record):
     best, total_evaluations = trained_pc()
     fids = []
     for phi in TRAINING_PHASES:
-        _, out = cloner.run_cloner(best.best_point, QubitState.equatorial(phi))
+        _, out = fock.run_cloner(best.best_point, QubitState.equatorial(phi))
         fids.append((out.f1, out.f2))
     close = all(
         abs(f1 - 0.8536) < 0.005 and abs(f2 - 0.8536) < 0.005 for f1, f2 in fids
@@ -90,7 +90,7 @@ def test_criterion_03_universal_bound_constant(record):
         a = psi.amplitudes()
         perp = np.array([-np.conj(a[1]), np.conj(a[0])])
         rho = (5 / 6) * np.outer(a, a.conj()) + (1 / 6) * np.outer(perp, perp.conj())
-        worst = max(worst, abs(cloner.fidelity(rho, psi) - 5 / 6))
+        worst = max(worst, abs(fock.fidelity(rho, psi) - 5 / 6))
     record(3, worst < 1e-12, f"(5/6,1/6) mixture fidelity off 5/6 by {worst:.1e}")
 
 
@@ -101,7 +101,7 @@ def test_criterion_04_two_design_identity(record):
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
-        lhs, rhs = cloner.design_identity_check(rho, quadrature_points=10_000)
+        lhs, rhs = fock.design_identity_check(rho, quadrature_points=10_000)
         worst = max(worst, abs(lhs - rhs))
     record(4, worst < 1e-6, f"quadrature vs 4-point average differ by {worst:.1e}")
 
@@ -174,7 +174,7 @@ def test_criterion_07_probability_conservation(record):
         total = sum(abs(a) ** 2 for a in state.amplitudes.values())
         worst_total = max(worst_total, abs(total - 1.0))
         psi = QubitState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        _, out = cloner.run_cloner(params, psi)
+        _, out = fock.run_cloner(params, psi)
         p_bounds_ok &= 0.0 <= out.p_post <= 1.0
     record(
         7,

@@ -190,6 +190,70 @@ def test_importing_the_cli_leaves_out_jsonschema():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+#: Trains, validates and reports a tiny exact and a tiny noisy pc run in-process, then
+#: checks that none of it loaded the Fock oracle, and that the names perfbench/spans.py
+#: patches on ``cloner`` and ``optimizer`` resolve to it on first access.
+_PRODUCTION_COMMANDS = """
+import json, sys
+from pathlib import Path
+import vclone.cli as cli
+tmp = Path(sys.argv[1])
+for shots in ("exact", 200):
+    cfg, run = tmp / f"cfg_{shots}.json", str(tmp / f"run_{shots}")
+    cfg.write_text(json.dumps({"task": "pc", "seed": 0, "restarts": 2,
+                               "nm": {"max_evaluations": 30}, "noise": {"shots": shots, "seed": 1}}))
+    for args in (["train", "--config", str(cfg), "--out", run],
+                 ["validate", "--params", run, "--count", "4"], ["report", "--run", run]):
+        cli.main(args, standalone_mode=False)
+assert "vclone.fock" not in sys.modules, "the Fock oracle was imported"
+import vclone.cloner, vclone.fock, vclone.optimizer
+assert vclone.cloner.run_cloner is vclone.fock.run_cloner
+assert vclone.optimizer.run_cloner is vclone.fock.run_cloner
+"""
+
+
+def test_train_validate_and_report_leave_the_fock_oracle_unloaded(tmp_path):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", _PRODUCTION_COMMANDS, str(tmp_path)],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "run_200" / "report" / "cost_series.csv").exists()
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("case, source", [
+    ("train --out onto a file", "--out"),
+    ("train --out under a file", "--out"),
+    ("train output_dir onto a file", "output_dir"),
+    ("validate --out onto a directory", "--out"),
+    ("report onto a report file", "--run"),
+])
+def test_unusable_output_path_fails_naming_its_source(tmp_path, runner, case, source):
+    cfg = write_config(tmp_path / "cfg.json", restarts=1, nm={"max_evaluations": 20})
+    run = tmp_path / "run"
+    assert runner.invoke(main, ["train", "--config", str(cfg), "--out", str(run)]).exit_code == 0
+    blocker = run / "report" if case.startswith("report") else tmp_path / "file"
+    blocker.write_text("kept")
+    args = {
+        "train --out onto a file": ["train", "--config", str(cfg), "--out", str(blocker)],
+        "train --out under a file": ["train", "--config", str(cfg), "--out", str(blocker / "sub")],
+        "train output_dir onto a file": ["train", "--config", str(write_config(
+            tmp_path / "to_file.json", restarts=1, nm={"max_evaluations": 20}, output_dir=str(blocker)))],
+        "validate --out onto a directory": ["validate", "--params", str(run), "--out", str(run / "traces")],
+        "report onto a report file": ["report", "--run", str(run)],
+    }[case]
+    before = _tree(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception  # a ClickException, not a traceback
+    assert f"invalid {source}:" in result.output
+    assert _tree(tmp_path) == before
+
+
 # --------------------------------------------------------------------- train
 
 def test_train_pc_smoke(tmp_path, runner):
@@ -225,7 +289,7 @@ def test_train_sd_summary_cost_consistency(tmp_path, runner):
     params = np.array(json.loads((out / "best_params.json").read_text())["phases"])
     summary = json.loads((out / "summary.json").read_text())
     # The cost assembled by hand from the run_cloner (Fock oracle) outcomes.
-    out_a, out_b = (cloner.run_cloner(params, cloner.QubitState(*ab))[1] for ab in ((0.5, 0.0), (0.9, 1.5)))
+    out_a, out_b = (fock.run_cloner(params, cloner.QubitState(*ab))[1] for ab in ((0.5, 0.0), (0.9, 1.5)))
     recomputed = sum((1 - o.f1) ** 2 + (1 - o.f2) ** 2 + (o.f1 - o.f2) ** 2 for o in (out_a, out_b))
     recomputed += (1 - out_a.p_post) ** 2 + (1 - out_b.p_post) ** 2 + (out_a.p_post - out_b.p_post) ** 2
     assert abs(summary["best_cost_noiseless"] - recomputed) < 1e-12
@@ -357,6 +421,25 @@ def test_validate_rejects_bad_params_file(tmp_path, runner, content, message):
     assert isinstance(result.exception, SystemExit)  # a ClickException, not a traceback
     assert not (out / "sweep.csv").exists()
     assert (out / "manifest.json").read_text() == manifest
+
+
+def test_validate_reads_only_the_run_mesh(tmp_path, runner):
+    # A run trained while nm.max_iterations was a setting keeps it in its config.json;
+    # validate needs only the mesh, so that run stays valid, and a bad mesh still fails.
+    path = write_config(tmp_path / "cfg.json", restarts=1, nm={"max_evaluations": 20})
+    out = tmp_path / "run"
+    assert runner.invoke(main, ["train", "--config", str(path), "--out", str(out)]).exit_code == 0
+    config = json.loads((out / "config.json").read_text())
+    config["nm"] = {"max_iterations": 10}
+    (out / "config.json").write_text(json.dumps(config))
+    result = runner.invoke(main, ["validate", "--params", str(out), "--count", "4"])
+    assert result.exit_code == 0, result.output
+    assert len(read_csv(out / "sweep.csv")) == 4
+    for mesh, field in ((FIVE_MODE_MESH, "mesh"), ({"mode_count": 4, "cells": [5]}, "mesh.cells.0")):
+        (out / "config.json").write_text(json.dumps({**config, "mesh": mesh}))
+        result = runner.invoke(main, ["validate", "--params", str(out), "--count", "4"])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+        assert f"invalid {field}:" in result.output
 
 
 def test_validate_missing_params(tmp_path, runner):

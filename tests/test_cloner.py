@@ -3,22 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from vclone import cloner
-from vclone.cloner import (
-    SEMICLASSICAL_FIDELITY,
-    CloningOutcome,
-    QubitState,
-    StateStack,
+from vclone import cloner, fock
+from vclone.cloner import SEMICLASSICAL_FIDELITY, CloningOutcome, QubitState, StateStack, measurement_path_outcome
+from vclone.fock import (
+    FockAmplitudes,
+    PostselectionRule,
     design_identity_check,
+    evolve,
     fidelity,
     joint_logical_state,
-    measurement_path_outcome,
+    postselect,
     prep_unitary,
     reduced_clone,
     run_cloner,
     semiclassical_monte_carlo,
 )
-from vclone.fock import FockAmplitudes, PostselectionRule, evolve, postselect
 from vclone.mesh import MeshSpec
 from vclone.optimizer import pc_task, sd_task
 
@@ -58,7 +57,7 @@ def test_device_frame_constants():
 # -------------------------------------------------------------- preparation
 
 def test_prep_zero_state_stays_on_rail():
-    stage = prep_unitary(QubitState.zero())
+    stage = prep_unitary(QubitState(0.0, 0.0))
     state = evolve((0, 1, 0, 0), stage)
     assert state.amplitude((0, 1, 0, 0)) == pytest.approx(1.0, abs=1e-12)
 
@@ -84,7 +83,7 @@ def test_prep_leaves_ancilla_alone():
 
 
 def test_measurement_zero_state_identity_rotation():
-    assert np.allclose(StateStack([QubitState.zero()]).rotations[0], np.eye(2), atol=1e-12)
+    assert np.allclose(StateStack([QubitState(0.0, 0.0)]).rotations[0], np.eye(2), atol=1e-12)
 
 
 # ---------------------------------------------------------------- run_cloner
@@ -115,14 +114,14 @@ def test_outcomes_in_range(seed):
 
 
 def test_run_cloner_zero_support_fallback(monkeypatch):
-    monkeypatch.setattr(cloner, "postselect", lambda state, rule: (None, 0.0))
+    monkeypatch.setattr(fock, "postselect", lambda state, rule: (None, 0.0))
     _, out = run_cloner(np.zeros(12), QubitState.equatorial(0.0))
     assert out == CloningOutcome(f1=0.0, f2=0.0, p_post=0.0)
 
 
 def test_run_cloner_requires_twelve_phases():
     with pytest.raises(ValueError):
-        run_cloner(np.zeros(10), QubitState.zero())
+        run_cloner(np.zeros(10), QubitState(0.0, 0.0))
 
 
 # ------------------------------------------------------------ reduced states
@@ -193,9 +192,9 @@ def test_fidelity_maximally_mixed():
 
 def test_fidelity_rejects_invalid_density():
     with pytest.raises(ValueError):
-        fidelity(np.array([[1.0, 0.5], [0.0, 0.0]]), QubitState.zero())
+        fidelity(np.array([[1.0, 0.5], [0.0, 0.0]]), QubitState(0.0, 0.0))
     with pytest.raises(ValueError):
-        fidelity(2 * np.eye(2), QubitState.zero())
+        fidelity(2 * np.eye(2), QubitState(0.0, 0.0))
 
 
 # -------------------------------------------------- measurement-path parity

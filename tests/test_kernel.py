@@ -12,17 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vclone import cloner
+from vclone import cloner, fock
 from vclone.cloner import (
     CloningOutcome,
     QubitState,
     clone_outcomes,
     measurement_path_outcome,
     measurement_path_probabilities,
-    prep_unitary,
-    run_cloner,
 )
-from vclone.fock import evolve
+from vclone.fock import evolve, prep_unitary, run_cloner
 from vclone.mesh import MeshSpec, build_mesh
 
 TOL = 1e-12
@@ -176,9 +174,10 @@ def test_zero_support_gives_zero_outcome(monkeypatch):
     # A mesh swapping modes 0 and 3 routes both photons of |0> into the
     # clone-1 pair: no coincidence is possible.
     swap = np.eye(4, dtype=complex)[[3, 1, 2, 0]]
-    monkeypatch.setattr(cloner, "build_mesh", lambda spec, params: swap)
+    for owner in (cloner, fock):
+        monkeypatch.setattr(owner, "build_mesh", lambda spec, params: swap)
     zero = CloningOutcome(f1=0.0, f2=0.0, p_post=0.0)
-    psi = QubitState.zero()
+    psi = QubitState(0.0, 0.0)
     assert clone_outcomes(np.zeros(12), [psi, psi]).tolist() == [[0.0, 0.0, 0.0]] * 2
     assert run_cloner(np.zeros(12), psi)[1] == zero
     assert measurement_path_outcome(np.zeros(12), psi) == zero
@@ -196,6 +195,6 @@ def test_kernel_rejects_wrong_phase_count():
 def test_kernel_rejects_non_four_mode_mesh():
     spec = MeshSpec(mode_count=5, cell_pairs=((0, 1),))
     with pytest.raises(ValueError, match="mode_count 4"):
-        clone_outcomes(np.zeros(2), [QubitState.zero()], spec)
+        clone_outcomes(np.zeros(2), [QubitState(0.0, 0.0)], spec)
     with pytest.raises(ValueError, match="mode_count 4"):
-        measurement_path_probabilities(np.zeros(2), [QubitState.zero()], spec)[0]
+        measurement_path_probabilities(np.zeros(2), [QubitState(0.0, 0.0)], spec)[0]

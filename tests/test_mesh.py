@@ -8,10 +8,17 @@ from vclone.mesh import (
     MeshSpec,
     balanced_coupler,
     build_mesh,
-    is_unitary,
     mzi_unitary,
     wrap_phases,
 )
+
+UNITARITY_TOL = 1e-12
+
+
+def is_unitary(u, tol=UNITARITY_TOL):
+    """Check max-abs deviation of U^dag U from the identity."""
+    u = np.asarray(u)
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))) < tol
 
 
 def embed(block, mode_pair, m):

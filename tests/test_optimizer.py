@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vclone import cloner, optimizer
+from vclone import cloner, fock, optimizer
 from vclone.cloner import QubitState
 from vclone.mesh import wrap_phases
 from vclone.optimizer import (
@@ -522,7 +522,7 @@ def test_sd_task_extras_recorded():
     value, outcomes = task.cost(np.zeros(12))
     assert task.states == ("A", "B") and outcomes.shape == (2, 3)
     # The cost assembled by hand from the run_cloner (Fock oracle) outcomes.
-    out_a, out_b = (cloner.run_cloner(np.zeros(12), psi)[1] for psi in (psi_a, psi_b))
+    out_a, out_b = (fock.run_cloner(np.zeros(12), psi)[1] for psi in (psi_a, psi_b))
     expected = sum((1 - o.f1) ** 2 + (1 - o.f2) ** 2 + (o.f1 - o.f2) ** 2 for o in (out_a, out_b))
     expected += (1 - out_a.p_post) ** 2 + (1 - out_b.p_post) ** 2 + (out_a.p_post - out_b.p_post) ** 2
     assert value == pytest.approx(expected, abs=1e-14)
@@ -566,7 +566,7 @@ def test_validate_sweep_count_four_matches_training_set():
     rows = validate_sweep(params, count=4)
     for (phi, f1, f2, p), train_phi in zip(rows, cloner.TRAINING_PHASES):
         assert phi == pytest.approx(train_phi, abs=1e-12)
-        _, out = cloner.run_cloner(params, QubitState.equatorial(train_phi))
+        _, out = fock.run_cloner(params, QubitState.equatorial(train_phi))
         assert f1 == pytest.approx(out.f1, abs=1e-12)
         assert f2 == pytest.approx(out.f2, abs=1e-12)
         assert p == pytest.approx(out.p_post, abs=1e-12)

@@ -6,10 +6,14 @@ shape and base64-encoded little-endian bytes (trace schema v2; ``report``
 also reads the v1 files with one JSON record per evaluation).  ``check_config``
 is the one check of a config: a bad value fails before anything runs, naming its
 JSON path.  Angles in configs are always radians; any other unit is rejected.
+``train`` writes its files, ``config.json`` too, only once training is done.  Every
+write into a run directory runs inside ``_writing``, which turns an OSError into an
+error naming the flag or key the path came from; ``manifest.json`` is written by ``_record``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import datetime
@@ -181,32 +185,34 @@ def nm_from_config(config: dict) -> optimizer.NMConfig:
     return optimizer.NMConfig(**config.get("nm", {}), seed=config["seed"])
 
 
-class RunManifest:
-    """Ledger of a run directory: config hash, seed, timestamps, outputs."""
+@contextlib.contextmanager
+def _writing(source: str):
+    """An OSError in the block fails as ``ConfigError("invalid <source>: ...")``."""
+    try:
+        yield
+    except OSError as exc:
+        _fail((source,), str(exc))
 
-    def __init__(self, run_dir: Path):
-        self.path = Path(run_dir) / "manifest.json"
-        if self.path.exists():
-            self.data = json.loads(self.path.read_text())
-        else:
-            self.data = {
-                "artifact_version": __version__,
-                "created": _now(),
-                "files": [],
-            }
 
-    def set_config(self, raw: bytes, seed: int) -> None:
-        self.data["config_sha256"] = hashlib.sha256(raw).hexdigest()
-        self.data["seed"] = seed
-
-    def add_file(self, path: Path) -> None:
-        rel = str(Path(path).relative_to(self.path.parent))
-        if rel not in self.data["files"]:
-            self.data["files"].append(rel)
-
-    def write(self) -> None:
-        self.data["updated"] = _now()
-        self.path.write_text(json.dumps(self.data, indent=2) + "\n")
+def _record(run_dir: Path, paths: list[Path], **fields) -> None:
+    """Set ``fields`` in the run's manifest.json, started if there is none, append each of
+    ``paths`` it does not list yet, relative to ``run_dir``, and stamp ``updated``."""
+    path = run_dir / "manifest.json"
+    if path.exists():
+        try:
+            manifest = json.loads(path.read_text())
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise click.ClickException(f"{path} is not valid JSON: {exc}") from None
+        if type(manifest) is not dict or type(manifest.get("files")) is not list:
+            raise click.ClickException(f"{path}: not a run manifest (an object with a 'files' list)")
+    else:
+        manifest = {"artifact_version": __version__, "created": _now(), "files": []}
+    manifest.update(fields)
+    for rel in (str(p.relative_to(run_dir)) for p in paths):
+        if rel not in manifest["files"]:
+            manifest["files"].append(rel)
+    manifest["updated"] = _now()
+    path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _now() -> str:
@@ -266,24 +272,10 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
     task = exact if noise.shots is None else make_task(evaluator=sampler.sampled_evaluator(noise, spec))
 
     run_dir = Path(out_dir or config.get("output_dir", "runs/latest"))
-    try:
-        run_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # e.g. the path or a parent is a file: fail before writing anything
-        _fail(("--out",) if out_dir else ("output_dir",), str(exc))
-    (run_dir / "config.json").write_text(json.dumps(config, indent=2) + "\n")
+    source = "--out" if out_dir else "output_dir"
+    with _writing(source):  # e.g. the path, a parent or its traces is a file: fail before training
+        (run_dir / "traces").mkdir(parents=True, exist_ok=True)
     best, traces = optimizer.train(task, cfg, restarts)
-
-    manifest = RunManifest(run_dir)
-    manifest.set_config(json.dumps(config, indent=2).encode() + b"\n", config["seed"])
-    manifest.add_file(run_dir / "config.json")
-
-    traces_dir = run_dir / "traces"
-    traces_dir.mkdir(exist_ok=True)
-    for r, trace in enumerate(traces):
-        path = traces_dir / f"restart_{r:03d}.jsonl"
-        trace.to_jsonl(path)
-        manifest.add_file(path)
-        _echo_aborted(path, trace)
 
     best_params = {
         "task": config["task"],
@@ -294,16 +286,8 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
         "n_evaluations": best.n_evaluations,
         "n_reboots": best.n_reboots,
     }
-    params_path = run_dir / "best_params.json"
-    _write_json(params_path, best_params)
-    manifest.add_file(params_path)
-
     best_cost_noiseless, outcomes = exact.cost(best.best_point)
     rows = [(state_id, *(f"{x:.12f}" for x in out)) for state_id, out in zip(state_ids, outcomes.tolist())]
-    summary_path = run_dir / "summary.csv"
-    _write_csv(summary_path, ["state_id", "f1", "f2", "p_post"], rows)
-    manifest.add_file(summary_path)
-
     summary = {
         "task": config["task"],
         "best_cost_trace": best.best_cost,
@@ -313,10 +297,21 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
         "total_iterations": sum(t.n_iterations for t in traces),
         "total_reboots": sum(t.n_reboots for t in traces),
     }
-    summary_json = run_dir / "summary.json"
-    _write_json(summary_json, summary)
-    manifest.add_file(summary_json)
-    manifest.write()
+
+    # Written only now, so an interrupted run leaves no config.json without results.
+    config_text = json.dumps(config, indent=2) + "\n"
+    trace_paths = [run_dir / "traces" / f"restart_{r:03d}.jsonl" for r in range(len(traces))]
+    with _writing(source):
+        (run_dir / "config.json").write_text(config_text)
+        for path, trace in zip(trace_paths, traces):
+            trace.to_jsonl(path)
+            _echo_aborted(path, trace)
+        _write_json(run_dir / "best_params.json", best_params)
+        _write_csv(run_dir / "summary.csv", ["state_id", "f1", "f2", "p_post"], rows)
+        _write_json(run_dir / "summary.json", summary)
+        _record(run_dir, [run_dir / "config.json", *trace_paths,
+                          *(run_dir / name for name in ("best_params.json", "summary.csv", "summary.json"))],
+                config_sha256=hashlib.sha256(config_text.encode()).hexdigest(), seed=config["seed"])
 
     click.echo(f"best cost (trace): {best.best_cost:.6f}")
     click.echo(f"best cost (noiseless recomputation): {summary['best_cost_noiseless']:.6f}")
@@ -366,24 +361,15 @@ def cmd_validate(params_path: Path, count: int, out_path: Path | None) -> None:
     params = _read_phases(params_path, spec.n_phases)
 
     rows = optimizer.validate_sweep(params, count=count, spec=spec)
-    source = ("--out",) if out_path else ("--params",)
+    source = "--out" if out_path else "--params"
     out_path = Path(out_path) if out_path else params_path.parent / "sweep.csv"
-    try:
-        _write_csv(
-            out_path,
-            ["phi", "f1", "f2", "p_post", "f_optimal", "f_semiclassical"],
-            [
-                (f"{phi:.12f}", f"{f1:.12f}", f"{f2:.12f}", f"{p:.12f}",
-                 f"{cloner.OPTIMAL_EQUATORIAL_FIDELITY:.12f}", f"{cloner.SEMICLASSICAL_FIDELITY:.12f}")
-                for phi, f1, f2, p in rows
-            ],
-        )
-    except OSError as exc:  # e.g. the path is a directory
-        _fail(source, str(exc))
-    if (out_path.parent / "manifest.json").exists():
-        manifest = RunManifest(out_path.parent)
-        manifest.add_file(out_path)
-        manifest.write()
+    with _writing(source):
+        _write_csv(out_path, ["phi", "f1", "f2", "p_post", "f_optimal", "f_semiclassical"],
+                   [(f"{phi:.12f}", f"{f1:.12f}", f"{f2:.12f}", f"{p:.12f}",
+                     f"{cloner.OPTIMAL_EQUATORIAL_FIDELITY:.12f}", f"{cloner.SEMICLASSICAL_FIDELITY:.12f}")
+                    for phi, f1, f2, p in rows])
+        if (out_path.parent / "manifest.json").exists():
+            _record(out_path.parent, [out_path])
     worst = min(min(f1, f2) for _, f1, f2, _ in rows)
     click.echo(f"wrote {out_path} ({count} states, min fidelity {worst:.4f})")
 
@@ -408,44 +394,29 @@ def cmd_report(run_dir: Path) -> None:
         _echo_aborted(path, trace)
     best = min(traces, key=lambda t: t.best_cost)
 
-    report_dir = run_dir / "report"
-    try:
-        report_dir.mkdir(exist_ok=True)
-    except OSError as exc:  # e.g. report is a file
-        _fail(("--run",), str(exc))
-
-    cost_rows, fid_rows = [], []
-    best_cost, best_row = float("inf"), None
+    # Row i's at-best row is the last row up to i whose cost is the running best.
+    at_best = np.maximum.accumulate(np.where(best.costs == best.best_costs, np.arange(len(best.costs)), 0))
+    steps = list(zip(range(1, len(best.costs) + 1), best.iterations.tolist(), best.reboots.tolist()))
+    cost_rows = [(e, iteration, f"{cost:.12f}", f"{running:.12f}", int(reboot))
+                 for (e, iteration, reboot), cost, running in zip(steps, best.costs.tolist(), best.best_costs.tolist())]
+    fid_rows = []
     if best.outcomes is not None:
-        f1s, f2s = (best.outcomes[:, :, k].mean(axis=1).tolist() for k in (0, 1))
-    columns = zip(best.iterations.tolist(), best.costs.tolist(), best.reboots.tolist())
-    for i, (iteration, cost, reboot) in enumerate(columns):
-        if cost <= best_cost:
-            best_cost, best_row = cost, i
-        cost_rows.append((i + 1, iteration, f"{cost:.12f}", f"{best_cost:.12f}", int(reboot)))
-        if best.outcomes is not None:
-            fid_rows.append(
-                (i + 1, iteration, f"{f1s[i]:.12f}", f"{f2s[i]:.12f}",
-                 f"{f1s[best_row]:.12f}", f"{f2s[best_row]:.12f}", int(reboot))
-            )
+        f1s, f2s = (best.outcomes[:, :, k].mean(axis=1) for k in (0, 1))
+        fid_rows = [(e, iteration, f"{f1:.12f}", f"{f2:.12f}", f"{b1:.12f}", f"{b2:.12f}", int(reboot))
+                    for (e, iteration, reboot), f1, f2, b1, b2
+                    in zip(steps, f1s.tolist(), f2s.tolist(), f1s[at_best].tolist(), f2s[at_best].tolist())]
 
-    cost_path = report_dir / "cost_series.csv"
-    _write_csv(cost_path, ["evaluation", "iteration", "cost", "best_cost", "reboot"], cost_rows)
-    written = [cost_path]
+    tables = {"cost_series.csv": (["evaluation", "iteration", "cost", "best_cost", "reboot"], cost_rows)}
     if fid_rows:
-        fid_path = report_dir / "fidelity_series.csv"
-        _write_csv(
-            fid_path,
-            ["evaluation", "iteration", "f1_mean", "f2_mean", "f1_at_best", "f2_at_best", "reboot"],
-            fid_rows,
-        )
-        written.append(fid_path)
-
-    if (run_dir / "manifest.json").exists():
-        manifest = RunManifest(run_dir)
-        for path in written:
-            manifest.add_file(path)
-        manifest.write()
+        tables["fidelity_series.csv"] = (
+            ["evaluation", "iteration", "f1_mean", "f2_mean", "f1_at_best", "f2_at_best", "reboot"], fid_rows)
+    written = [run_dir / "report" / name for name in tables]
+    with _writing("--run"):
+        (run_dir / "report").mkdir(exist_ok=True)
+        for path, (header, table) in zip(written, tables.values()):
+            _write_csv(path, header, table)
+        if (run_dir / "manifest.json").exists():
+            _record(run_dir, written)
     for path in written:
         click.echo(f"wrote {path}")
 

@@ -59,9 +59,6 @@ class QubitState:
         """The two amplitudes as Python scalars."""
         return complex(math.cos(self.theta)), cmath.rect(math.sin(self.theta), self.phi)
 
-    def amplitudes(self) -> np.ndarray:
-        return np.array(self.ket())
-
     @classmethod
     def equatorial(cls, phi: float) -> "QubitState":
         """State on the Bloch equator: (|0> + e^{i phi}|1>) / sqrt(2)."""

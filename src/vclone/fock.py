@@ -263,7 +263,7 @@ def _validate_density(rho: np.ndarray) -> np.ndarray:
 def fidelity(rho: np.ndarray, psi: QubitState) -> float:
     """Fidelity <psi|rho|psi> of a clone with the pure target state."""
     rho = _validate_density(rho)
-    a = psi.amplitudes()
+    a = np.array(psi.ket())
     value = float(np.real(a.conj() @ rho @ a))
     return min(max(value, 0.0), 1.0)
 

@@ -87,7 +87,7 @@ def test_criterion_03_universal_bound_constant(record):
     worst = 0.0
     for _ in range(20):
         psi = QubitState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        a = psi.amplitudes()
+        a = np.array(psi.ket())
         perp = np.array([-np.conj(a[1]), np.conj(a[0])])
         rho = (5 / 6) * np.outer(a, a.conj()) + (1 / 6) * np.outer(perp, perp.conj())
         worst = max(worst, abs(fock.fidelity(rho, psi) - 5 / 6))

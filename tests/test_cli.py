@@ -229,29 +229,72 @@ def _tree(root):
     ("train --out onto a file", "--out"),
     ("train --out under a file", "--out"),
     ("train output_dir onto a file", "output_dir"),
+    ("train onto a run whose traces is a file", "--out"),
     ("validate --out onto a directory", "--out"),
     ("report onto a report file", "--run"),
+    ("report onto a report/cost_series.csv directory", "--run"),
 ])
 def test_unusable_output_path_fails_naming_its_source(tmp_path, runner, case, source):
     cfg = write_config(tmp_path / "cfg.json", restarts=1, nm={"max_evaluations": 20})
     run = tmp_path / "run"
     assert runner.invoke(main, ["train", "--config", str(cfg), "--out", str(run)]).exit_code == 0
-    blocker = run / "report" if case.startswith("report") else tmp_path / "file"
-    blocker.write_text("kept")
+    blocker = {
+        "train onto a run whose traces is a file": tmp_path / "bare" / "traces",
+        "report onto a report file": run / "report",
+        "report onto a report/cost_series.csv directory": run / "report" / "cost_series.csv",
+    }.get(case, tmp_path / "file")
+    blocker.parent.mkdir(exist_ok=True)
+    if case.endswith("csv directory"):
+        blocker.mkdir()
+    else:
+        blocker.write_text("kept")
     args = {
         "train --out onto a file": ["train", "--config", str(cfg), "--out", str(blocker)],
         "train --out under a file": ["train", "--config", str(cfg), "--out", str(blocker / "sub")],
         "train output_dir onto a file": ["train", "--config", str(write_config(
             tmp_path / "to_file.json", restarts=1, nm={"max_evaluations": 20}, output_dir=str(blocker)))],
+        "train onto a run whose traces is a file": ["train", "--config", str(cfg), "--out", str(blocker.parent)],
         "validate --out onto a directory": ["validate", "--params", str(run), "--out", str(run / "traces")],
         "report onto a report file": ["report", "--run", str(run)],
+        "report onto a report/cost_series.csv directory": ["report", "--run", str(run)],
     }[case]
     before = _tree(tmp_path)
     result = runner.invoke(main, args)
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit), result.exception  # a ClickException, not a traceback
     assert f"invalid {source}:" in result.output
-    assert _tree(tmp_path) == before
+    assert _tree(tmp_path) == before  # for train: it failed before it trained
+
+
+@pytest.mark.parametrize("case", ["best_params.json a directory", "manifest.json a directory",
+                                  "manifest.json not JSON", "manifest.json not an object"])
+def test_unwritable_run_file_fails_after_training_naming_it(tmp_path, runner, case):
+    cfg = write_config(tmp_path / "cfg.json", restarts=1, nm={"max_evaluations": 20})
+    run = tmp_path / "run"
+    name = case.split()[0]
+    run.mkdir()
+    if case.endswith("a directory"):
+        (run / name).mkdir()
+    else:
+        (run / name).write_text("{not json" if case.endswith("not JSON") else "[]")
+    result = runner.invoke(main, ["train", "--config", str(cfg), "--out", str(run)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception  # a ClickException, not a traceback
+    assert result.output.startswith("Error: ") and len(result.output.splitlines()) == 1, result.output
+    assert str(run / name) in result.output
+    assert ("invalid --out:" in result.output) == case.endswith("a directory")
+
+
+def test_interrupted_train_leaves_no_config(tmp_path, runner, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(optimizer, "train", interrupt)
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(write_config(tmp_path / "cfg.json")), "--out", str(out)])
+    assert result.exit_code == 1
+    assert not (out / "config.json").exists()
+    assert list(out.rglob("*")) == [out / "traces"]
 
 
 # --------------------------------------------------------------------- train
@@ -478,6 +521,17 @@ def test_report_marks_reboots(tmp_path, runner):
     runner.invoke(main, ["report", "--run", str(out)])
     rows = read_csv(out / "report" / "cost_series.csv")
     assert any(int(r["reboot"]) for r in rows)
+
+    # The running best and the at-best row (the last row that reached it), as a loop finds them.
+    trace = OptimizationTrace.from_jsonl(out / "traces" / "restart_000.jsonl")
+    f1s, f2s = (trace.outcomes[:, :, k].mean(axis=1).tolist() for k in (0, 1))
+    fid_rows = read_csv(out / "report" / "fidelity_series.csv")
+    best_cost, best_row = math.inf, None
+    for i, (row, fid, cost) in enumerate(zip(rows, fid_rows, trace.costs.tolist(), strict=True)):
+        if cost <= best_cost:
+            best_cost, best_row = cost, i
+        assert row["best_cost"] == f"{best_cost:.12f}"
+        assert (fid["f1_at_best"], fid["f2_at_best"]) == (f"{f1s[best_row]:.12f}", f"{f2s[best_row]:.12f}")
 
 
 def test_report_idempotent_and_in_manifest(tmp_path, runner):

@@ -30,9 +30,9 @@ def _random_params(rng):
 
 # -------------------------------------------------------------------- states
 
-def test_qubit_state_amplitudes():
+def test_qubit_state_ket():
     psi = QubitState(theta=np.pi / 4, phi=np.pi / 2)
-    assert np.allclose(psi.amplitudes(), [1 / np.sqrt(2), 1j / np.sqrt(2)], atol=1e-12)
+    assert np.allclose(np.array(psi.ket()), [1 / np.sqrt(2), 1j / np.sqrt(2)], atol=1e-12)
 
 
 def test_training_set_is_four_equatorial_states():
@@ -174,13 +174,13 @@ def test_clone_validity(seed):
 
 def test_fidelity_pure_match():
     psi = QubitState(0.3, 1.1)
-    a = psi.amplitudes()
+    a = np.array(psi.ket())
     assert fidelity(np.outer(a, a.conj()), psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fidelity_five_sixths_mixture():
     psi = QubitState(0.7, 2.3)
-    a = psi.amplitudes()
+    a = np.array(psi.ket())
     perp = np.array([-a[1].conjugate(), a[0].conjugate()])
     rho = (5 / 6) * np.outer(a, a.conj()) + (1 / 6) * np.outer(perp, perp.conj())
     assert fidelity(rho, psi) == pytest.approx(5 / 6, abs=1e-12)

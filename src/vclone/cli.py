@@ -324,6 +324,8 @@ def _read_phases(path: Path, n_phases: int) -> np.ndarray:
     ClickException naming the file and the field."""
     try:
         payload = json.loads(path.read_text())
+    except OSError as exc:
+        raise click.ClickException(f"cannot read {path}: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise click.ClickException(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or "phases" not in payload:
@@ -388,7 +390,7 @@ def cmd_report(run_dir: Path) -> None:
     for path in trace_files:
         try:
             traces.append(optimizer.OptimizationTrace.from_jsonl(path))
-        except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        except (OSError, ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
             raise click.ClickException(f"cannot read trace {path}: {exc}") from None
     for path, trace in zip(trace_files, traces):
         _echo_aborted(path, trace)

@@ -1,9 +1,10 @@
 """Derivative-free training of the cloning circuit.
 
-Nelder-Mead over the 12-dimensional phase torus, instrumented with a full
-per-evaluation trace and a reboot heuristic: when the best cost stagnates
-while the simplex has collapsed (a failure mode typical under shot noise),
-the simplex is rebuilt around the best point with an enlarged edge.
+Nelder-Mead over the 12-dimensional phase torus as one generator, ``search``,
+which records a full per-evaluation trace and applies a reboot heuristic: when
+the best cost stagnates while the simplex has collapsed (a failure mode typical
+under shot noise), the simplex is rebuilt around the best point with an enlarged
+edge.  ``nelder_mead`` (one run) and ``train`` (lockstep restarts) drive it.
 
 Parameters are kept unwrapped during the search; the cost is 2*pi-periodic
 so wrapping never changes its value.
@@ -219,40 +220,41 @@ def _initial_simplex(center: np.ndarray, edge: float) -> np.ndarray:
     return simplex
 
 
-class NelderMead:
-    """Nelder-Mead from ``init`` as an ask-tell state machine recording every evaluation.
+class _Stop(Exception):
+    """A run's budget is spent or a cost was not finite."""
 
-    ``ask()`` gives the (k, d) points to evaluate next: d+1 for a simplex (re)build, d for
-    a shrink, 1 otherwise, cut to the budget left.  ``tell(costs, outcomes)`` takes their
-    k costs in order and, for a run with ``states``, their (k, S, 3) outcomes.  Ties in
-    the simplex order break toward the lowest vertex (stable sort), so runs are
-    deterministic.  ``tell`` writes each recorded row in place into columns that start
-    with room for ``min(cfg.max_evaluations, CAPACITY)`` rows and double when full.
-    ``done`` is set when the run is over, and the trace then gets views of the filled
-    rows, or copies of them when they fill at most half the room; a non-finite cost
-    ends it with a diagnostic on the trace.
+
+def search(init: Sequence[float], cfg: NMConfig, states: Sequence[str] = ()):
+    """Nelder-Mead from ``init`` as a generator recording every evaluation.
+
+    It yields the (k, d) points to evaluate next: d+1 for a simplex (re)build, d for a
+    shrink, 1 otherwise, cut to the budget left.  The driver sends back ``(costs,
+    outcomes)``: their k costs in order and, for a run with ``states``, their (k, S, 3)
+    outcomes.  When the run ends the generator returns its ``OptimizationTrace`` (the
+    ``StopIteration`` value).  Ties in the simplex order break toward the lowest vertex
+    (stable sort), so runs are deterministic.  Each recorded row is written in place into
+    columns that start with room for ``min(cfg.max_evaluations, CAPACITY)`` rows and
+    double when full; the trace gets views of the filled rows, or copies of them when
+    they fill at most half the room.  A non-finite cost ends the run with a diagnostic
+    on the trace.
     """
+    init = np.asarray(init, dtype=float)
+    trace = OptimizationTrace(states=tuple(states), seed=cfg.seed)
+    rows = min(cfg.max_evaluations, CAPACITY)
+    columns = {  # the trace's columns with room to grow; rows [0, filled) are filled
+        "points": np.zeros((rows, len(init))), "costs": np.zeros(rows),
+        "best_costs": np.zeros(rows), "iterations": np.zeros(rows, dtype=np.int64),
+        "reboots": np.zeros(rows, dtype=bool)}
+    if states:
+        columns["outcomes"] = np.zeros((rows, len(states), 3))
+    filled = 0
 
-    def __init__(self, init: Sequence[float], cfg: NMConfig, states: Sequence[str] = ()) -> None:
-        self.init, self.cfg = np.asarray(init, dtype=float), cfg
-        self.trace = OptimizationTrace(states=tuple(states), seed=cfg.seed)
-        self.done = self._reboot = False
-        rows = min(cfg.max_evaluations, CAPACITY)
-        self._columns = {  # the trace's columns with room to grow; rows [0, self._rows) are filled
-            "points": np.zeros((rows, len(self.init))), "costs": np.zeros(rows),
-            "best_costs": np.zeros(rows), "iterations": np.zeros(rows, dtype=np.int64),
-            "reboots": np.zeros(rows, dtype=bool)}
-        if states:
-            self._columns["outcomes"] = np.zeros((rows, len(states), 3))
-        self._rows = 0
-        self._search = self._steps()
-        self._ask(next(self._search))
-
-    def ask(self) -> np.ndarray:
-        return self._asked
-
-    def tell(self, costs: Sequence[float] | np.ndarray, outcomes: np.ndarray | None = None) -> None:
-        trace, points = self.trace, self._asked
+    def evaluate(points: np.ndarray, reboot: bool = False):
+        """Yield ``points`` cut to the budget left, record what is sent back and return
+        the costs; raise ``_Stop`` once the budget is spent or a cost is not finite."""
+        nonlocal filled
+        points = points[:cfg.max_evaluations - trace.n_evaluations]
+        costs, outcomes = yield points
         values = np.asarray(costs, dtype=float).tolist()
         best, best_row, running = trace.best_cost, None, []
         for i, value in enumerate(values):
@@ -266,60 +268,32 @@ class NelderMead:
         if best_row is not None:
             trace.best_cost, trace.best_point = best, points[best_row].copy()
         if k := len(running):
-            start, stop = self._rows, self._rows + k
-            if stop > len(self._columns["costs"]):
-                self._grow(stop)
-            columns = self._columns
+            start, stop = filled, filled + k
+            if stop > len(columns["costs"]):  # double the room, up to the budget and at least to stop
+                room = max(min(2 * len(columns["costs"]), cfg.max_evaluations), stop)
+                for name, column in columns.items():
+                    columns[name] = np.zeros((room, *column.shape[1:]), dtype=column.dtype)
+                    columns[name][:filled] = column[:filled]
             columns["points"][start:stop] = points[:k]
             columns["costs"][start:stop] = values
             columns["best_costs"][start:stop] = running
             columns["iterations"][start:stop] = trace.n_iterations
-            if self._reboot:
-                columns["reboots"][start], self._reboot = True, False
+            columns["reboots"][start] = reboot
             if "outcomes" in columns:
                 columns["outcomes"][start:stop] = outcomes[:k]
-            self._rows = stop
+            filled = stop
         trace.n_evaluations += k + (trace.error is not None)
-        if trace.error is not None or self._cut:
-            return self._finish()
-        try:
-            self._ask(self._search.send(np.array(values)))
-        except StopIteration:
-            self._finish()
+        if trace.error is not None or trace.n_evaluations >= cfg.max_evaluations:
+            raise _Stop
+        return np.array(values)
 
-    def _ask(self, points: np.ndarray) -> None:
-        left = self.cfg.max_evaluations - self.trace.n_evaluations
-        self._asked, self._cut = points[:left], len(points) > left
-        if left <= 0:
-            self._finish()
-
-    def _grow(self, rows: int) -> None:
-        """Double the columns' room, up to the budget and at least to ``rows``."""
-        room = max(min(2 * len(self._columns["costs"]), self.cfg.max_evaluations), rows)
-        for name, column in self._columns.items():
-            grown = np.zeros((room, *column.shape[1:]), dtype=column.dtype)
-            grown[:self._rows] = column[:self._rows]
-            self._columns[name] = grown
-
-    def _finish(self) -> None:
-        self.done = True
-        self._search.close()
-        trace = self.trace
-        if trace.best_point is None:
-            trace.best_point = self.init.copy()
-        trim = 2 * self._rows <= len(self._columns["costs"])  # a copy frees the unused room
-        for name, column in self._columns.items():
-            setattr(trace, name, column[:self._rows].copy() if trim else column[:self._rows])
-
-    def _steps(self):
-        """The search as a generator: yields the points it needs, receives their costs."""
-        cfg, trace = self.cfg, self.trace
-        simplex = _initial_simplex(self.init, cfg.initial_edge)
-        values = yield simplex
+    try:
+        simplex = _initial_simplex(init, cfg.initial_edge)
+        values = yield from evaluate(simplex)
         best_history = [trace.best_cost]  # best cost after each iteration
         iters_since_reboot = 0
 
-        while trace.n_evaluations < cfg.max_evaluations:
+        while True:
             order = values.argsort(kind="stable")
             simplex, values = simplex[order], values[order]
 
@@ -331,15 +305,14 @@ class NelderMead:
                 stagnant = window_start - trace.best_cost < STAGNATION_TOL
                 if stagnant and diameter < cfg.collapse_diameter and trace.n_reboots < cfg.max_reboots:
                     trace.n_reboots += 1
-                    self._reboot = True
                     simplex = _initial_simplex(trace.best_point, REBOOT_SCALE * cfg.initial_edge)
-                    values = yield simplex
+                    values = yield from evaluate(simplex, reboot=True)
                     best_history = [trace.best_cost]
                     iters_since_reboot = 0
                     continue
 
             if diameter < CONVERGENCE_DIAMETER:
-                return
+                break
 
             trace.n_iterations += 1
             iters_since_reboot += 1
@@ -347,11 +320,11 @@ class NelderMead:
             centroid = np.add.reduce(simplex[:-1]) / (len(simplex) - 1)
             worst = simplex[-1]
             reflected = centroid + REFLECTION * (centroid - worst)
-            (f_reflected,) = yield reflected[None]
+            (f_reflected,) = yield from evaluate(reflected[None])
 
             if f_reflected < values[0]:
                 expanded = centroid + EXPANSION * (reflected - centroid)
-                (f_expanded,) = yield expanded[None]
+                (f_expanded,) = yield from evaluate(expanded[None])
                 if f_expanded < f_reflected:
                     simplex[-1], values[-1] = expanded, f_expanded
                 else:
@@ -363,28 +336,39 @@ class NelderMead:
                     contracted = centroid + CONTRACTION * (reflected - centroid)
                 else:
                     contracted = centroid + CONTRACTION * (worst - centroid)
-                (f_contracted,) = yield contracted[None]
+                (f_contracted,) = yield from evaluate(contracted[None])
                 if f_contracted < min(f_reflected, values[-1]):
                     simplex[-1], values[-1] = contracted, f_contracted
                 else:
                     # Shrink toward the best vertex.
                     simplex[1:] = simplex[0] + SHRINK * (simplex[1:] - simplex[0])
-                    values[1:] = yield simplex[1:]
+                    values[1:] = yield from evaluate(simplex[1:])
 
             best_history.append(trace.best_cost)
+    except _Stop:
+        pass
+    if trace.best_point is None:
+        trace.best_point = init.copy()
+    trim = 2 * filled <= len(columns["costs"])  # a copy frees the unused room
+    for name, column in columns.items():
+        setattr(trace, name, column[:filled].copy() if trim else column[:filled])
+    return trace
 
 
 def nelder_mead(cost: CostFn, init: Sequence[float], cfg: NMConfig,
                 states: Sequence[str] = ()) -> OptimizationTrace:
-    """Minimize ``cost`` from ``init``, evaluating the points of one ``NelderMead`` run
-    one by one, in order.  ``cost`` returns a float or, as ``Task.cost`` does, (float,
+    """Minimize ``cost`` from ``init``, evaluating the points of one ``search`` one by
+    one, in order.  ``cost`` returns a float or, as ``Task.cost`` does, (float,
     outcomes); the (S, 3) outcomes are recorded when ``states`` labels them."""
-    search = NelderMead(init, cfg, states)
-    while not search.done:
-        results = [cost(point) for point in search.ask()]
+    run = search(init, cfg, states)
+    points = next(run)
+    while True:
+        results = [cost(point) for point in points]
         values, outcomes = zip(*(r if isinstance(r, tuple) else (r, None) for r in results))
-        search.tell(values, np.array(outcomes) if states else None)
-    return search.trace
+        try:
+            points = run.send((values, np.array(outcomes) if states else None))
+        except StopIteration as stop:
+            return stop.value
 
 
 @dataclass(frozen=True)
@@ -469,21 +453,25 @@ def train(task: Task, cfg: NMConfig, restarts: int) -> tuple[OptimizationTrace, 
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    searches = [
-        NelderMead(np.random.default_rng(cfg.seed + r).uniform(0.0, 2.0 * math.pi, task.dim),
-                   replace(cfg, seed=cfg.seed + r), task.states)
+    runs = [
+        search(np.random.default_rng(cfg.seed + r).uniform(0.0, 2.0 * math.pi, task.dim),
+               replace(cfg, seed=cfg.seed + r), task.states)
         for r in range(restarts)
     ]
-    while live := [r for r, search in enumerate(searches) if not search.done]:
-        asked = [searches[r].ask() for r in live]
-        owners = [r for r, points in zip(live, asked) for _ in points]
-        costs, outcomes = task.costs(np.concatenate(asked), owners)
+    asked = {r: next(run) for r, run in enumerate(runs)}  # each live restart's points, in restart order
+    traces = [None] * restarts
+    while asked:
+        owners = [r for r, points in asked.items() for _ in points]
+        costs, outcomes = task.costs(np.concatenate(list(asked.values())), owners)
         start = 0
-        for r, points in zip(live, asked):
+        for r, points in list(asked.items()):
             rows = slice(start, start + len(points))
-            searches[r].tell(costs[rows], None if outcomes is None else outcomes[rows])
+            try:
+                asked[r] = runs[r].send((costs[rows], None if outcomes is None else outcomes[rows]))
+            except StopIteration as stop:
+                traces[r] = stop.value
+                del asked[r]
             start = rows.stop
-    traces = [search.trace for search in searches]
     return min(traces, key=lambda t: t.best_cost), traces
 
 

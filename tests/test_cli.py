@@ -450,13 +450,18 @@ def test_validate_rejects_count_below_one(tmp_path, runner, count):
     (json.dumps({"phases": [0.0] * 8}), "invalid field 'phases'"),
     (json.dumps({"cost": 0.1}), "missing field 'phases'"),
     ("{not json", "is not valid JSON"),
+    (None, "cannot read"),  # best_params.json is a directory
 ])
 def test_validate_rejects_bad_params_file(tmp_path, runner, content, message):
     path = write_config(tmp_path / "cfg.json", restarts=1, nm={"max_evaluations": 20})
     out = tmp_path / "run"
     assert runner.invoke(main, ["train", "--config", str(path), "--out", str(out)]).exit_code == 0
     params = out / "best_params.json"
-    params.write_text(content)
+    if content is None:
+        params.unlink()
+        params.mkdir()
+    else:
+        params.write_text(content)
     manifest = (out / "manifest.json").read_text()
     result = runner.invoke(main, ["validate", "--params", str(out)])
     assert result.exit_code == 1
@@ -551,11 +556,14 @@ def test_report_empty_dir_errors(tmp_path, runner):
     assert result.exit_code != 0
 
 
-@pytest.mark.parametrize("header", [json.dumps({"schema_version": 99}), "not json"])
+@pytest.mark.parametrize("header", [json.dumps({"schema_version": 99}), "not json", None])
 def test_report_rejects_unreadable_trace(tmp_path, runner, header):
     traces = tmp_path / "run" / "traces"
     traces.mkdir(parents=True)
-    (traces / "restart_000.jsonl").write_text(header + "\n")
+    if header is None:  # the trace file is a directory
+        (traces / "restart_000.jsonl").mkdir()
+    else:
+        (traces / "restart_000.jsonl").write_text(header + "\n")
     result = runner.invoke(main, ["report", "--run", str(tmp_path / "run")])
     assert result.exit_code == 1
     assert str(traces / "restart_000.jsonl") in result.output

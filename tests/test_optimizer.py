@@ -110,19 +110,24 @@ def test_evaluation_accounting(monkeypatch):
     # Lockstep restarts sharing one task: each kernel call covers the rows the
     # restarts asked for, times the four training states.
     calls, asked = [], []
-    real, real_ask = optimizer.clone_outcomes, optimizer.NelderMead.ask
+    real, real_search = optimizer.clone_outcomes, optimizer.search
 
     def counting(params, states, *args, **kwargs):
         calls.append((len(np.atleast_2d(params)), len(states)))
         return real(params, states, *args, **kwargs)
 
-    def counting_ask(search):
-        points = real_ask(search)
-        asked.append(len(points))
-        return points
+    def counting_search(*args, **kwargs):
+        run = real_search(*args, **kwargs)
+        points = next(run)
+        while True:
+            asked.append(len(points))
+            try:
+                points = run.send((yield points))
+            except StopIteration as stop:
+                return stop.value
 
     monkeypatch.setattr(optimizer, "clone_outcomes", counting)
-    monkeypatch.setattr(optimizer.NelderMead, "ask", counting_ask)
+    monkeypatch.setattr(optimizer, "search", counting_search)
     _, traces = train(pc_task(), NMConfig(max_evaluations=40, seed=9), restarts=3)
     evaluations = sum(t.n_evaluations for t in traces)
     states = len(cloner.TRAINING_PHASES)
@@ -403,13 +408,16 @@ def test_shared_noisy_train_equals_solo_runs_on_each_stream(name):
 
 
 def _steps(cost, init, cfg):
-    """(evaluations before, rows asked) for each step of one ask-tell run."""
-    search, steps = optimizer.NelderMead(init, cfg), []
-    while not search.done:
-        points = search.ask()
-        steps.append((search.trace.n_evaluations, len(points)))
-        search.tell([cost(p) for p in points])
-    return steps
+    """(evaluations before, rows asked) for each step of one search."""
+    run, steps, evaluations = optimizer.search(init, cfg), [], 0
+    points = next(run)
+    while True:
+        steps.append((evaluations, len(points)))
+        evaluations += len(points)
+        try:
+            points = run.send(([cost(p) for p in points], None))
+        except StopIteration:
+            return steps
 
 
 def _rosenbrock_4d(x):
@@ -429,6 +437,24 @@ def test_budget_runs_out_inside_a_batch(batch):
     assert len(trace.costs) == trace.n_evaluations == budget
     for name in ("points", "costs", "best_costs", "iterations", "reboots"):
         assert np.array_equal(getattr(trace, name), getattr(full, name)[:budget])
+
+
+def test_budget_ends_on_every_step_boundary():
+    # Every budget up to 120 ends the run inside or at the end of some step: builds,
+    # shrinks, single points and four reboot builds among them.
+    init, d, last = [1.0, 1.0, 0.2, -0.1], 4, 120
+    cfg = NMConfig(max_evaluations=2000, stagnation_window=10, collapse_diameter=1.0)
+    steps = _steps(_rosenbrock_4d, init, cfg)
+    assert {rows for start, rows in steps if start < last} == {1, d, d + 1}
+    full = nelder_mead(_rosenbrock_4d, init, cfg)
+    assert full.reboots[:last].sum() == 4
+    for budget in range(1, last + 1):
+        trace = nelder_mead(_rosenbrock_4d, init, dataclasses.replace(cfg, max_evaluations=budget))
+        assert len(trace.costs) == trace.n_evaluations == budget and trace.error is None
+        for name in ("points", "costs", "best_costs", "iterations", "reboots"):
+            assert np.array_equal(getattr(trace, name), getattr(full, name)[:budget])
+        assert trace.n_iterations == full.iterations[budget - 1]
+        assert trace.n_reboots == full.reboots[:budget].sum()
 
 
 def test_budget_cuts_every_lockstep_build():

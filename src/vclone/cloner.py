@@ -138,13 +138,17 @@ def outcomes(patterns, shots=1) -> np.ndarray:
     (total < ZERO_SUPPORT_TOL: for counts, no coincidence) gives all zeros.
     """
     p = np.asarray(patterns)
-    total = p.sum(axis=-1)
-    support = np.asarray(total >= ZERO_SUPPORT_TOL)
-    denominator = np.where(support, total, 1.0)
-    out = np.stack([(p[..., 0] + p[..., 1]) / denominator, (p[..., 0] + p[..., 2]) / denominator,
-                    total / shots], axis=-1)
-    np.clip(out, 0.0, 1.0, out=out)
-    out[~support] = 0.0
+    total = np.add.reduce(p, axis=-1)
+    support = total >= ZERO_SUPPORT_TOL
+    every = support.all()
+    out = np.empty(total.shape + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = p[..., 0] + p[..., 1], p[..., 0] + p[..., 2], total
+    out[..., :2] /= (total if every else np.where(support, total, 1.0))[..., None]
+    if shots != 1:
+        out[..., 2] /= shots
+    out.clip(0.0, 1.0, out=out)
+    if not every:
+        out[~support] = 0.0
     return out
 
 
@@ -178,7 +182,8 @@ def measurement_path_probabilities(
     stack = StateStack(states)
     amps = _coincidence_amplitudes(build_mesh(four_mode_spec(spec), params), stack.kets)
     w = stack.rotations
-    return (np.abs(w @ amps @ w.transpose(0, 2, 1)) ** 2).reshape(*amps.shape[:-2], 4)
+    p = np.abs(w @ amps @ w.transpose(0, 2, 1))
+    return np.square(p, out=p).reshape(*amps.shape[:-2], 4)
 
 
 def measurement_path_outcome(

@@ -108,16 +108,25 @@ def build_mesh(spec: MeshSpec, params: np.ndarray | list[float]) -> np.ndarray:
 
     ``params`` of shape (..., n_phases) gives unitaries (..., m, m).  Cells
     compose left to right: later cells multiply on the left, each on the two
-    rows it touches.  Raises ValueError when the phase count does not match.
+    rows it touches; a cell (or coupler) on two modes no earlier one touched is
+    placed into the identity, so a zero of U may differ in sign from a full
+    product's.  Raises ValueError when the phase count does not match.
     """
     params = np.atleast_1d(wrap_phases(params))
     if params.shape[-1] != spec.n_phases:
         raise ValueError(f"expected {spec.n_phases} phases for this mesh, got {params.shape[-1]}")
-    u = np.tile(np.eye(spec.mode_count, dtype=complex), params.shape[:-1] + (1, 1))
+    m = spec.mode_count
+    u = np.zeros(params.shape[:-1] + (m, m), dtype=complex)
+    u.reshape(-1, m * m)[:, :: m + 1] = 1.0
     cells = mzi_unitary(params[..., 0::2], params[..., 1::2])
+    touched = set()
     # einsum adds the two products without fused multiply-adds: each row of a
     # stack equals its own build, and both equal plain complex arithmetic.
-    for k, (i, _) in enumerate((*spec.cell_pairs, *spec.fixed_couplers)):
+    for k, (i, j) in enumerate((*spec.cell_pairs, *spec.fixed_couplers)):
         block = cells[..., k, :, :] if k < len(spec.cell_pairs) else balanced_coupler()
-        u[..., i : i + 2, :] = np.einsum("...ij,...jk->...ik", block, u[..., i : i + 2, :])
+        if touched.isdisjoint((i, j)):
+            u[..., i : j + 1, i : j + 1] = block
+        else:
+            u[..., i : j + 1, :] = np.einsum("...ij,...jk->...ik", block, u[..., i : j + 1, :])
+        touched.update((i, j))
     return u

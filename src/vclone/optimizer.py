@@ -13,6 +13,7 @@ so wrapping never changes its value.
 from __future__ import annotations
 
 import base64
+import bisect
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -150,8 +151,9 @@ class OptimizationTrace:
                     continue
                 column = np.ascontiguousarray(column, dtype=column.dtype.newbyteorder("<"))
                 data = base64.b64encode(column.tobytes()).decode("ascii")
-                line = {"name": name, "dtype": column.dtype.str, "shape": column.shape, "data": data}
-                fh.write(json.dumps(line) + "\n")
+                # json.dumps of the line, without scanning the base64 text for escapes
+                fh.write(f'{{"name": {json.dumps(name)}, "dtype": {json.dumps(column.dtype.str)}, '
+                         f'"shape": {json.dumps(column.shape)}, "data": "{data}"}}\n')
 
     @classmethod
     def from_jsonl(cls, path) -> "OptimizationTrace":
@@ -274,44 +276,55 @@ def search(init: Sequence[float], cfg: NMConfig, states: Sequence[str] = ()):
                 for name, column in columns.items():
                     columns[name] = np.zeros((room, *column.shape[1:]), dtype=column.dtype)
                     columns[name][:filled] = column[:filled]
-            columns["points"][start:stop] = points[:k]
-            columns["costs"][start:stop] = values
-            columns["best_costs"][start:stop] = running
-            columns["iterations"][start:stop] = trace.n_iterations
+            for i, row in enumerate(range(start, stop)):  # row by row: most steps record one
+                columns["points"][row] = points[i]
+                columns["costs"][row] = values[i]
+                columns["best_costs"][row] = running[i]
+                columns["iterations"][row] = trace.n_iterations
+                if "outcomes" in columns:
+                    columns["outcomes"][row] = outcomes[i]
             columns["reboots"][start] = reboot
-            if "outcomes" in columns:
-                columns["outcomes"][start:stop] = outcomes[:k]
             filled = stop
         trace.n_evaluations += k + (trace.error is not None)
         if trace.error is not None or trace.n_evaluations >= cfg.max_evaluations:
             raise _Stop
-        return np.array(values)
+        return values
 
     try:
         simplex = _initial_simplex(init, cfg.initial_edge)
         values = yield from evaluate(simplex)
         best_history = [trace.best_cost]  # best cost after each iteration
         iters_since_reboot = 0
+        rebuilt = True  # any vertex may be out of order; else only the last one
 
         while True:
-            order = values.argsort(kind="stable")
-            simplex, values = simplex[order], values[order]
+            if rebuilt:  # a stable sort: ties keep the lower vertex first
+                order = np.argsort(values, kind="stable").tolist()
+                simplex, values = simplex[order], [values[i] for i in order]
+            elif (pos := bisect.bisect_right(values, values[-1], 0, len(values) - 1)) < len(values) - 1:
+                # only the last vertex is new: it goes after every vertex that costs no more
+                simplex[pos:] = np.concatenate((simplex[-1:], simplex[pos:-1]))
+                values.insert(pos, values.pop())
+            rebuilt = False
 
             # Reboot heuristic: best cost stagnant over the last K
             # iterations while the simplex has collapsed.
-            diameter = _simplex_diameter(simplex)
             if iters_since_reboot >= cfg.stagnation_window:
                 window_start = best_history[-cfg.stagnation_window - 1]
                 stagnant = window_start - trace.best_cost < STAGNATION_TOL
-                if stagnant and diameter < cfg.collapse_diameter and trace.n_reboots < cfg.max_reboots:
+                if stagnant and _simplex_diameter(simplex) < cfg.collapse_diameter and trace.n_reboots < cfg.max_reboots:
                     trace.n_reboots += 1
                     simplex = _initial_simplex(trace.best_point, REBOOT_SCALE * cfg.initial_edge)
                     values = yield from evaluate(simplex, reboot=True)
                     best_history = [trace.best_cost]
                     iters_since_reboot = 0
+                    rebuilt = True
                     continue
 
-            if diameter < CONVERGENCE_DIAMETER:
+            # The diameter is at least the rounded gap in any one coordinate, so a wide gap
+            # between the worst and best vertices rules out convergence without the full pass.
+            gap = abs(simplex[-1, 0] - simplex[0, 0]) if len(init) else 0.0
+            if gap <= 2 * CONVERGENCE_DIAMETER and _simplex_diameter(simplex) < CONVERGENCE_DIAMETER:
                 break
 
             trace.n_iterations += 1
@@ -343,6 +356,7 @@ def search(init: Sequence[float], cfg: NMConfig, states: Sequence[str] = ()):
                     # Shrink toward the best vertex.
                     simplex[1:] = simplex[0] + SHRINK * (simplex[1:] - simplex[0])
                     values[1:] = yield from evaluate(simplex[1:])
+                    rebuilt = True
 
             best_history.append(trace.best_cost)
     except _Stop:
@@ -408,8 +422,8 @@ def _cloning_task(states: dict[str, QubitState], lam: float | None,
         # Python floats row by row: the ** of _symmetric_terms rounds unlike numpy's square.
         for row in outs.tolist():
             total = 0.0
-            for f1, f2, _ in row:
-                total += _symmetric_terms(f1, f2)
+            for f1, f2, _ in row:  # _symmetric_terms, inlined
+                total += (1.0 - f1) ** 2 + (1.0 - f2) ** 2 + (f1 - f2) ** 2
             if lam is not None:
                 total += lam * _symmetric_terms(row[0][2], row[1][2])
             totals.append(total)
@@ -461,7 +475,7 @@ def train(task: Task, cfg: NMConfig, restarts: int) -> tuple[OptimizationTrace, 
     asked = {r: next(run) for r, run in enumerate(runs)}  # each live restart's points, in restart order
     traces = [None] * restarts
     while asked:
-        owners = [r for r, points in asked.items() for _ in points]
+        owners = [r for r, points in asked.items() for _ in range(len(points))]
         costs, outcomes = task.costs(np.concatenate(list(asked.values())), owners)
         start = 0
         for r, points in list(asked.items()):

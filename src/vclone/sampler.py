@@ -4,11 +4,11 @@ Each cost evaluation on hardware sets the phases once, then measures every
 training state with a finite number of two-fold coincidences.  Here one mesh
 build gives the measurement-stage distribution of every state at every phase
 vector of a call, whichever restarts asked for them.  Each restart draws its
-own rows from its own seeded generator, one multinomial call per restart: N
-trials per state (four coincidence patterns plus a rejected bin).  Fidelities
-are estimated from conditional counts as on the device, for all rows at once,
-by ``cloner.outcomes``: an exact run applies it to the probabilities the
-counts estimate.
+own rows from its own seeded generator, one multinomial call per run of its
+rows (one per restart: training passes rows in restart order), N trials per
+state (four coincidence patterns plus a rejected bin).  Fidelities are
+estimated from conditional counts as on the device, for all rows at once, by
+``cloner.outcomes``, which an exact run applies to the probabilities.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ def sample_counts(
     row's remainder to 1 is its rejected bin, whose count is not returned.
     The rows are checked and normalised once.  Without ``owners`` one call on
     ``rng`` draws every row, as drawing the rows in turn would.  ``owners``
-    names the generator of each leading row: the rows of owner r are drawn, in
-    order, in one call on ``rng[r]``.
+    names the generator of each leading row: each run of owner r's rows is one
+    call on ``rng[r]``, so its rows are drawn in order, as one call would.
     """
     p = np.asarray(probabilities, dtype=float)
     if (p < -1e-12).any():
@@ -67,9 +67,11 @@ def sample_counts(
             rng = np.random.default_rng(int(rng))
         return rng.multinomial(shots, full)[..., :-1]
     counts = np.empty(full.shape, dtype=np.int64)
-    for r in dict.fromkeys(owners.tolist()):
-        rows = owners == r
-        counts[rows] = rng[r].multinomial(shots, full[rows])
+    start, owners = 0, owners.tolist()
+    for stop in range(1, len(owners) + 1):  # one draw per run of an owner's rows
+        if stop == len(owners) or owners[stop] != owners[start]:
+            counts[start:stop] = rng[owners[start]].multinomial(shots, full[start:stop])
+            start = stop
     return counts[..., :-1]
 
 

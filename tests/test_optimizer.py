@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from vclone import cloner, fock, optimizer
 from vclone.cloner import QubitState
@@ -70,6 +71,69 @@ def test_non_finite_cost_aborts_with_diagnostic():
     assert trace.error is not None
     assert "non-finite" in trace.error
     assert trace.n_evaluations == 4
+
+
+# ------------------------------------------------------------ scipy reference
+
+def _scipy_points(cost, x0, edge, max_evaluations=None):
+    """The points scipy's textbook Nelder-Mead evaluates from vclone's initial simplex, in
+    order, with its tolerances at 0 so that only the evaluation budget stops it early."""
+    points = []
+
+    def recorded(x):
+        points.append(np.array(x, dtype=float))
+        return cost(x)
+
+    options = {"adaptive": False, "initial_simplex": optimizer._initial_simplex(np.asarray(x0, float), edge),
+               "xatol": 0.0, "fatol": 0.0}
+    if max_evaluations is not None:
+        options["maxfev"] = max_evaluations
+    minimize(recorded, x0, method="Nelder-Mead", options=options)
+    return np.array(points[:max_evaluations])
+
+
+@pytest.mark.parametrize("case", ["quadratic_12d", "rosenbrock_4d", "rugged_6d", "pc_cost"])
+def test_search_visits_scipys_points(case):
+    """With reboots off, ``search`` is textbook Nelder-Mead (Lagarias et al., SIAM J.
+    Optim. 9, 1998), as ``scipy.optimize.minimize(method="Nelder-Mead", adaptive=False)``
+    implements it: both evaluate the same points, row by row, to 1e-10.  Three known
+    differences must not matter on these cases: scipy orders the simplex with an unstable
+    ``argsort`` (vclone's is stable), accepts an outside contraction on ``<=`` (vclone on
+    ``<``), and forms the reflection as (1 + rho) * xbar - rho * x_worst (vclone as
+    xbar + rho * (xbar - x_worst)), which differs at the ulp level.  Near convergence
+    those ulps compound, so the rugged and pc costs are compared over their first 600 and
+    1000 evaluations only, and the Rosenbrock run until vclone's simplex converges.
+    """
+    if case == "quadratic_12d":
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(12, 12))
+        hessian, x0, evaluations = a @ a.T + 12 * np.eye(12), rng.normal(size=12), 1500
+
+        def cost(x):
+            return float(x @ hessian @ x)
+    elif case == "rosenbrock_4d":
+        x0, evaluations = np.array([1.0, 1.0, 0.2, -0.1]), None
+
+        def cost(x):
+            return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+    elif case == "rugged_6d":  # the one case that shrinks, at its 55th evaluation
+        x0, evaluations = np.linspace(-2.0, 2.5, 6), 600
+
+        def cost(x):
+            return float(np.sum(x**2) + 0.5 * np.sum(np.sin(7.0 * x)))
+    else:
+        task = pc_task()
+        x0, evaluations = np.random.default_rng(21).uniform(0.0, 2 * np.pi, 12), 1000
+
+        def cost(x):
+            return task.cost(x)[0]
+
+    cfg = NMConfig(max_evaluations=evaluations or 5000, max_reboots=0)
+    ours = nelder_mead(cost, x0, cfg).points
+    theirs = _scipy_points(cost, x0, cfg.initial_edge, evaluations)
+    rows = min(len(ours), len(theirs))  # the Rosenbrock run: until vclone converges
+    assert rows == (evaluations or rows) and rows > 400
+    assert np.abs(ours[:rows] - theirs[:rows]).max() <= 1e-10
 
 
 # ---------------------------------------------------------------- trace shape

@@ -6,7 +6,7 @@ Subpackages:
     fock      -- the test oracle: multiphoton evolution via permanents,
                  post-selection and the density-matrix cloner (run_cloner);
                  training never imports it
-    optimizer -- the training tasks (the one definition of each cost),
+    optimizer -- the cloning cost, Task (the one definition of each cost),
                  Nelder-Mead with reboots, training, validation sweeps
     sampler   -- finite-statistics coincidence counting for noisy runs
     cli       -- experiment runner and persistence

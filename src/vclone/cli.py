@@ -21,7 +21,6 @@ import hashlib
 import json
 import math
 import sys
-from functools import partial
 from pathlib import Path
 from typing import NoReturn
 
@@ -258,18 +257,15 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
     spec, noise, cfg = check_config(config, seed, shots)
     restarts = config.get("restarts", 1)
 
+    # One task for all restarts: a noisy one draws restart r's rows from noise seed + r.
+    evaluator = None if noise.shots is None else sampler.sampled_evaluator(noise, spec)
     if config["task"] == "pc":
         state_ids = [f"equatorial phi={phi:.6f}" for phi in cloner.TRAINING_PHASES]
-        make_task = partial(optimizer.pc_task, spec)
+        task = optimizer.pc_task(spec, evaluator)
     else:
         psi_a, psi_b = (QubitState(**config["pair"][k]) for k in "ab")
         state_ids = ["A", "B"]
-        make_task = partial(optimizer.sd_task, psi_a, psi_b, config["lambda"], spec)
-
-    # The exact task gives the summary; a noisy run trains on one sampled task, which
-    # draws restart r's rows from noise seed + r.
-    exact = make_task()
-    task = exact if noise.shots is None else make_task(evaluator=sampler.sampled_evaluator(noise, spec))
+        task = optimizer.sd_task(psi_a, psi_b, config["lambda"], spec, evaluator)
 
     run_dir = Path(out_dir or config.get("output_dir", "runs/latest"))
     source = "--out" if out_dir else "output_dir"
@@ -286,7 +282,8 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
         "n_evaluations": best.n_evaluations,
         "n_reboots": best.n_reboots,
     }
-    best_cost_noiseless, outcomes = exact.cost(best.best_point)
+    # The same task on the exact kernel gives the summary.
+    best_cost_noiseless, outcomes = dataclasses.replace(task, evaluator=None).cost(best.best_point)
     rows = [(state_id, *(f"{x:.12f}" for x in out)) for state_id, out in zip(state_ids, outcomes.tolist())]
     summary = {
         "task": config["task"],

@@ -26,7 +26,8 @@ TWO_PI = 2.0 * np.pi
 
 def wrap_phases(values: np.ndarray | list[float]) -> np.ndarray:
     """Reduce phase values modulo 2*pi into [0, 2*pi)."""
-    return np.asarray(values, dtype=float) % TWO_PI
+    # One % takes a phase just below 0 to 2*pi itself; the second, exact on [0, 2*pi], to 0.
+    return np.asarray(values, dtype=float) % TWO_PI % TWO_PI
 
 
 def mzi_unitary(theta: float | np.ndarray, phi: float | np.ndarray) -> np.ndarray:

@@ -6,6 +6,9 @@ the best cost stagnates while the simplex has collapsed (a failure mode typical
 under shot noise), the simplex is rebuilt around the best point with an enlarged
 edge.  ``nelder_mead`` (one run) and ``train`` (lockstep restarts) drive it.
 
+``Task`` is the cloning cost, evaluated a batch at a time by the exact kernel or a
+sampling evaluator; ``pc_task`` and ``sd_task`` build the paper's two.
+
 Parameters are kept unwrapped during the search; the cost is 2*pi-periodic
 so wrapping never changes its value.
 """
@@ -37,11 +40,11 @@ CONVERGENCE_DIAMETER = 1e-8
 #: since a run may converge long before spending it.
 CAPACITY = 2500
 
-#: A scalar cost: a float, or (float, (S, 3) outcomes or None) as ``Task.cost`` gives.
-CostFn = Callable[[np.ndarray], "float | tuple[float, np.ndarray | None]"]
+#: A scalar cost: a float, or (float, (S, 3) outcomes) as ``Task.cost`` gives.
+CostFn = Callable[[np.ndarray], "float | tuple[float, np.ndarray]"]
 #: (params, states, restarts=None) -> (..., S, 3) outcomes of each (phase vector, state) pair,
 #: shaped like ``clone_outcomes``; ``restarts`` names the restart that asked for each phase
-#: vector (None: all restart 0).
+#: vector (None: all restart 0).  ``Task`` calls one in place of the exact kernel.
 Evaluator = Callable[..., np.ndarray]
 
 
@@ -385,61 +388,61 @@ def nelder_mead(cost: CostFn, init: Sequence[float], cfg: NMConfig,
             return stop.value
 
 
+def _symmetric_terms(x, y):
+    """(1 - x)^2 + (1 - y)^2 + (x - y)^2, elementwise, by libm's pow as Python's ``**`` is:
+    numpy's ``x * x`` rounds otherwise on some inputs, and trajectories hang on the last bit."""
+    return np.float_power(1.0 - x, 2.0) + np.float_power(1.0 - y, 2.0) + np.float_power(x - y, 2.0)
+
+
 @dataclass(frozen=True)
 class Task:
-    """A trainable objective over a phase vector of given size: ``costs(points, restarts)``
-    maps (B, dim) points, asked for by the restarts named row by row, to their (B,)
-    costs and the (B, S, 3) outcomes of the labelled ``states`` (None without states),
-    and ``cost`` is its batch of one, for restart 0.  A stateful cost, such as a sampled
-    one, keeps one stream per restart; others ignore it."""
+    """The cloning cost of the labelled ``inputs`` (Coyle et al., arXiv:2012.11424): the
+    symmetric terms of each state's (F1, F2), added state by state in order (accumulate;
+    add.reduce may pair them up), plus ``lam`` times those of the first two states' P_post
+    when ``lam`` is set.  ``costs(points, restarts)`` maps (B, dim) points, asked for by the
+    restarts named row by row, to their (B,) costs and (B, S, 3) outcomes from one
+    ``evaluator`` call (None: the exact kernel on ``spec``; a sampling one keeps a stream
+    per restart); ``cost`` is its batch of one, for restart 0.  ``states`` are the labels."""
 
-    dim: int
-    costs: Callable[[np.ndarray, Sequence[int]], tuple[np.ndarray, np.ndarray | None]]
-    states: tuple[str, ...] = ()
+    inputs: dict[str, QubitState]
+    lam: float | None = None
+    spec: MeshSpec | None = None
+    evaluator: Evaluator | None = None
 
-    def cost(self, point: np.ndarray) -> tuple[float, np.ndarray | None]:
+    def __post_init__(self) -> None:
+        if self.lam is not None and self.lam < 0:
+            raise ValueError("regularization weight must be non-negative")
+        object.__setattr__(self, "spec", cloner.four_mode_spec(self.spec))
+        object.__setattr__(self, "_kets", cloner.StateStack(self.inputs.values()))
+
+    @property
+    def dim(self) -> int:
+        return self.spec.n_phases
+
+    @property
+    def states(self) -> tuple[str, ...]:
+        return tuple(self.inputs)
+
+    def costs(self, points: np.ndarray, restarts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        if self.evaluator is None:
+            outs = clone_outcomes(points, self._kets, spec=self.spec)
+        else:
+            outs = self.evaluator(points, self._kets, restarts)
+        total = np.add.accumulate(_symmetric_terms(outs[..., 0], outs[..., 1]), axis=1)[:, -1]
+        if self.lam is not None:
+            total = total + self.lam * _symmetric_terms(outs[:, 0, 2], outs[:, 1, 2])
+        return total, outs
+
+    def cost(self, point: np.ndarray) -> tuple[float, np.ndarray]:
         costs, outcomes = self.costs(np.asarray(point, dtype=float)[None], [0])
-        return float(costs[0]), None if outcomes is None else outcomes[0]
-
-
-def _symmetric_terms(f1: float, f2: float) -> float:
-    return (1.0 - f1) ** 2 + (1.0 - f2) ** 2 + (f1 - f2) ** 2
-
-
-def _cloning_task(states: dict[str, QubitState], lam: float | None,
-                  spec: MeshSpec | None, evaluator: Evaluator | None) -> Task:
-    """Symmetric cloning cost summed over the labelled states, plus lam times the
-    symmetric terms of the first two states' P_post when lam is set.  One
-    evaluator call (default: the exact kernel) covers every point and state.
-    """
-    spec = cloner.four_mode_spec(spec)
-    kets = cloner.StateStack(states.values())
-    evaluate = evaluator or (lambda params, states, restarts=None: clone_outcomes(params, states, spec=spec))
-
-    def costs(points: np.ndarray, restarts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        outs = evaluate(points, kets, restarts)
-        totals = []
-        # Python floats row by row: the ** of _symmetric_terms rounds unlike numpy's square.
-        for row in outs.tolist():
-            total = 0.0
-            for f1, f2, _ in row:  # _symmetric_terms, inlined
-                total += (1.0 - f1) ** 2 + (1.0 - f2) ** 2 + (f1 - f2) ** 2
-            if lam is not None:
-                total += lam * _symmetric_terms(row[0][2], row[1][2])
-            totals.append(total)
-        return np.array(totals), outs
-
-    return Task(dim=spec.n_phases, costs=costs, states=tuple(states))
+        return float(costs[0]), outcomes[0]
 
 
 def pc_task(spec: MeshSpec | None = None, evaluator: Evaluator | None = None) -> Task:
-    """Equatorial-cloning training task over the four-phase training set.
-
-    ``evaluator`` defaults to the exact noiseless kernel; pass a sampling
-    evaluator (see vclone.sampler) to train under shot noise.
-    """
+    """Equatorial-cloning task over the four-phase training set; exact unless given a
+    sampling ``evaluator`` (see vclone.sampler), to train under shot noise."""
     states = {f"phi={phi:.4f}": QubitState.equatorial(phi) for phi in cloner.TRAINING_PHASES}
-    return _cloning_task(states, None, spec, evaluator)
+    return Task(states, None, spec, evaluator)
 
 
 def sd_task(
@@ -450,9 +453,7 @@ def sd_task(
     evaluator: Evaluator | None = None,
 ) -> Task:
     """Two-state cloning task with success-probability regularization."""
-    if lam < 0:
-        raise ValueError("regularization weight must be non-negative")
-    return _cloning_task({"A": psi_a, "B": psi_b}, lam, spec, evaluator)
+    return Task({"A": psi_a, "B": psi_b}, lam, spec, evaluator)
 
 
 def train(task: Task, cfg: NMConfig, restarts: int) -> tuple[OptimizationTrace, list[OptimizationTrace]]:

@@ -1,10 +1,11 @@
-"""Reference copies of the kernel and sampler functions as they were before
+"""Reference copies of the kernel, sampler and cost functions as they were before
 their numpy calls were trimmed, for the bit-for-bit tests in test_reference.py.
 
 Each function keeps the arithmetic and the call layout of its old production
 form: the mesh starts from a tiled identity and every cell multiplies through
 ``einsum``; ``outcomes`` stacks its columns; ``sample_counts`` draws each
-owner's rows through a boolean mask.
+owner's rows through a boolean mask; ``cloning_costs`` sums the cost of each
+row in Python floats.
 """
 
 import numpy as np
@@ -80,3 +81,18 @@ def sample_counts(probabilities, shots, rng, owners) -> np.ndarray:
         rows = owners == r
         counts[rows] = rng[r].multinomial(shots, full[rows])
     return counts[..., :-1]
+
+
+def cloning_costs(outs, lam) -> np.ndarray:
+    """The cloning cost of each row of (B, S, 3) outcomes: the symmetric terms of every
+    state's (F1, F2), plus lam times those of the first two states' P_post if lam is set."""
+    totals = []
+    for row in outs.tolist():
+        total = 0.0
+        for f1, f2, _ in row:
+            total += (1.0 - f1) ** 2 + (1.0 - f2) ** 2 + (f1 - f2) ** 2
+        if lam is not None:
+            pa, pb = row[0][2], row[1][2]
+            total += lam * ((1.0 - pa) ** 2 + (1.0 - pb) ** 2 + (pa - pb) ** 2)
+        totals.append(total)
+    return np.array(totals)

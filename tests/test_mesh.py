@@ -145,7 +145,7 @@ def test_four_mode_core_layout():
 
 
 def test_wrap_phases_range():
-    wrapped = wrap_phases([-0.1, 7.0, 2 * np.pi])
+    wrapped = wrap_phases([-0.1, 7.0, 2 * np.pi, -1e-17, -4e-16])
     assert np.all(wrapped >= 0) and np.all(wrapped < 2 * np.pi)
 
 

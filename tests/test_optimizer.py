@@ -92,7 +92,7 @@ def _scipy_points(cost, x0, edge, max_evaluations=None):
     return np.array(points[:max_evaluations])
 
 
-@pytest.mark.parametrize("case", ["quadratic_12d", "rosenbrock_4d", "rugged_6d", "pc_cost"])
+@pytest.mark.parametrize("case", ["quadratic_12d", "rosenbrock_4d", "rosenbrock_4d_reboot", "rugged_6d", "pc_cost"])
 def test_search_visits_scipys_points(case):
     """With reboots off, ``search`` is textbook Nelder-Mead (Lagarias et al., SIAM J.
     Optim. 9, 1998), as ``scipy.optimize.minimize(method="Nelder-Mead", adaptive=False)``
@@ -103,6 +103,10 @@ def test_search_visits_scipys_points(case):
     xbar + rho * (xbar - x_worst)), which differs at the ulp level.  Near convergence
     those ulps compound, so the rugged and pc costs are compared over their first 600 and
     1000 evaluations only, and the Rosenbrock run until vclone's simplex converges.
+
+    A reboot composes: the Rosenbrock run with one reboot, once it has rebuilt its simplex
+    around the best point so far with edge ``REBOOT_SCALE * initial_edge``, evaluates the
+    points of a fresh scipy run from there until it converges.
     """
     if case == "quadratic_12d":
         rng = np.random.default_rng(4)
@@ -111,7 +115,7 @@ def test_search_visits_scipys_points(case):
 
         def cost(x):
             return float(x @ hessian @ x)
-    elif case == "rosenbrock_4d":
+    elif case.startswith("rosenbrock_4d"):
         x0, evaluations = np.array([1.0, 1.0, 0.2, -0.1]), None
 
         def cost(x):
@@ -129,9 +133,16 @@ def test_search_visits_scipys_points(case):
             return task.cost(x)[0]
 
     cfg = NMConfig(max_evaluations=evaluations or 5000, max_reboots=0)
-    ours = nelder_mead(cost, x0, cfg).points
-    theirs = _scipy_points(cost, x0, cfg.initial_edge, evaluations)
-    rows = min(len(ours), len(theirs))  # the Rosenbrock run: until vclone converges
+    if case == "rosenbrock_4d_reboot":  # a short stagnation window reboots it at evaluation 204
+        cfg = dataclasses.replace(cfg, stagnation_window=10, collapse_diameter=1.0, max_reboots=1)
+    trace = nelder_mead(cost, x0, cfg)
+    ours, theirs = trace.points, _scipy_points(cost, x0, cfg.initial_edge, evaluations)
+    assert trace.n_reboots == (case == "rosenbrock_4d_reboot")
+    if trace.n_reboots:  # from the reboot on: a fresh scipy run from the best point so far
+        k = int(np.argmax(trace.reboots))
+        best = ours[np.argmin(trace.costs[:k])]
+        theirs = np.concatenate((theirs[:k], _scipy_points(cost, best, optimizer.REBOOT_SCALE * cfg.initial_edge)))
+    rows = min(len(ours), len(theirs))  # the Rosenbrock runs: until vclone converges
     assert rows == (evaluations or rows) and rows > 400
     assert np.abs(ours[:rows] - theirs[:rows]).max() <= 1e-10
 
@@ -377,6 +388,20 @@ def test_reboots_help_on_noisy_quadratic():
 
 # --------------------------------------------------------------------- train
 
+@dataclasses.dataclass(frozen=True)
+class StandInTask:
+    """What ``train`` reads of a task, its ``dim``, ``states`` and ``costs``, around any
+    batch cost; ``cost`` is its batch of one, for restart 0, as ``Task.cost`` is."""
+
+    dim: int
+    costs: object
+    states: tuple[str, ...] = ()
+
+    def cost(self, point):
+        costs, outcomes = self.costs(np.asarray(point, dtype=float)[None], [0])
+        return float(costs[0]), None if outcomes is None else outcomes[0]
+
+
 def test_train_returns_lowest_cost_trace():
     task = pc_task()
     cfg = NMConfig(max_evaluations=200)
@@ -403,7 +428,7 @@ def test_train_tags_each_row_with_its_restart():
         return task.costs(points, restarts)
 
     cfg = NMConfig(max_evaluations=30)
-    train(optimizer.Task(task.dim, costs, task.states), dataclasses.replace(cfg, seed=0), restarts=2)
+    train(StandInTask(task.dim, costs, task.states), dataclasses.replace(cfg, seed=0), restarts=2)
     assert seen[0] == [0] * 13 + [1] * 13
     assert {r for step in seen for r in step} == {0, 1}
 
@@ -537,7 +562,7 @@ def test_non_finite_row_in_shared_batch_stops_only_its_restart():
         batches.append(len(points))
         return np.array([float("nan") if np.array_equal(p, poisoned) else rosenbrock(p) for p in points]), None
 
-    task = optimizer.Task(dim=2, costs=costs)
+    task = StandInTask(dim=2, costs=costs)
     _, traces = train(task, dataclasses.replace(cfg, seed=seed), restarts=3)
     assert batches[0] == 3 * 3  # the poisoned row arrives with the other builds
     assert "non-finite cost nan" in traces[1].error

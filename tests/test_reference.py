@@ -1,14 +1,14 @@
-"""The trimmed kernel and sampler against their untrimmed forms, bit for bit.
+"""The trimmed kernel, sampler and cost against their untrimmed forms, bit for bit.
 
 ``kernel_reference`` keeps the mesh build that tiles an identity and runs
-every cell through ``einsum``, the stacking ``outcomes`` and the mask-based
-``sample_counts``.  Production must give the same bits: probabilities and
-outcomes compared as ``uint64`` views, counts exactly, and every generator in
-the same state afterwards.  The mesh itself is compared by value only: a cell
-placed straight into the identity can leave a zero of U with the other sign
-than the product gave it (on the mesh (1, 2), (2, 3) at phases 0, pi, 0, 0 the
-imaginary part of U[1, 1] is -0.0, where the product gives +0.0), which no
-probability shows.
+every cell through ``einsum``, the stacking ``outcomes``, the mask-based
+``sample_counts`` and the Python row loop of the cloning cost.  Production must
+give the same bits: probabilities, outcomes and costs compared as ``uint64``
+views, counts exactly, and every generator in the same state afterwards.  The
+mesh itself is compared by value only: a cell placed straight into the identity
+can leave a zero of U with the other sign than the product gave it (on the mesh
+(1, 2), (2, 3) at phases 0, pi, 0, 0 the imaginary part of U[1, 1] is -0.0,
+where the product gives +0.0), which no probability shows.
 """
 
 import math
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import kernel_reference as reference
 from vclone.cloner import QubitState, measurement_path_probabilities, outcomes
 from vclone.mesh import MeshSpec, build_mesh
+from vclone.optimizer import Task, pc_task
 from vclone.sampler import sample_counts
 
 SPECS = (
@@ -77,3 +78,31 @@ def test_counts_bits_equal_reference(data):
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert all(ours[r].random() == theirs[r].random() for r in range(4))
     assert np.array_equal(_bits(outcomes(got, shots)), _bits(reference.outcomes(want, shots)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cost_bits_equal_reference(data):
+    # The array cost (np.float_power, summed state by state) against the row loop in
+    # Python floats, whose ** is libm's pow.  x * x would change about 6 costs in 10^4,
+    # too few for these draws to catch each time; the 20,000 rows of
+    # test_optimizer.py::test_task_costs_round_as_python_floats catch it every time.
+    inputs = data.draw(st.sampled_from([pc_task().inputs, {"A": QubitState(0.4, 0.0), "B": QubitState(1.2, 0.0)}]))
+    lam = data.draw(st.sampled_from([None, 1, 0.37]))
+    rows = data.draw(st.integers(1, 20))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):  # the kernel's outcomes at random phases
+        task, points = Task(inputs, lam), rng.uniform(-30.0, 30.0, (rows, 12))
+    else:  # random outcomes, with exact 0 and 1 values, zero-support states and all-zero rows
+        outs = rng.random((rows, len(inputs), 3))
+        mark = rng.random(outs.shape)
+        outs[mark < 0.1], outs[mark > 0.9] = 0.0, 1.0
+        outs[rng.random((rows, len(inputs))) < 0.1] = 0.0
+        outs[np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))] = 0.0
+        task = Task(inputs, lam, evaluator=lambda params, states, restarts: outs)
+        points = np.zeros((rows, 12))
+
+    costs, outs = task.costs(points, [0] * rows)
+    want = reference.cloning_costs(outs, lam)
+    assert costs.dtype == want.dtype and costs.shape == want.shape == (rows,)
+    assert np.array_equal(_bits(costs), _bits(want))

@@ -6,9 +6,9 @@ Subpackages:
     fock      -- the test oracle: multiphoton evolution via permanents,
                  post-selection and the density-matrix cloner (run_cloner);
                  training never imports it
-    optimizer -- the cloning cost, Task (the one definition of each cost),
+    optimizer -- Task (the cloning cost and each step's one kernel call),
                  Nelder-Mead with reboots, training, validation sweeps
-    sampler   -- finite-statistics coincidence counting for noisy runs
+    sampler   -- finite-shot draws from Task's pattern probabilities
     cli       -- experiment runner and persistence
 """
 

@@ -258,7 +258,7 @@ def cmd_train(config_path: Path, seed: int | None, out_dir: Path | None, shots: 
     restarts = config.get("restarts", 1)
 
     # One task for all restarts: a noisy one draws restart r's rows from noise seed + r.
-    evaluator = None if noise.shots is None else sampler.sampled_evaluator(noise, spec)
+    evaluator = None if noise.shots is None else sampler.sampled_evaluator(noise)
     if config["task"] == "pc":
         state_ids = [f"equatorial phi={phi:.6f}" for phi in cloner.TRAINING_PHASES]
         task = optimizer.pc_task(spec, evaluator)

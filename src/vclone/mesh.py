@@ -36,9 +36,9 @@ def mzi_unitary(theta: float | np.ndarray, phi: float | np.ndarray) -> np.ndarra
     theta = 0 gives the full cross state i*[[0, 1], [1, 0]]; theta = pi the
     bar state up to phase.  Continuous and 2*pi-periodic in both angles.
     """
-    h = 0.5 * (np.asarray(theta) % TWO_PI)
+    h = 0.5 * wrap_phases(theta)
     g = 1j * np.exp(1j * h)
-    ge = g * np.exp(1j * (np.asarray(phi) % TWO_PI))
+    ge = g * np.exp(1j * wrap_phases(phi))
     s, c = np.sin(h), np.cos(h)
     u = np.empty(h.shape + (2, 2), dtype=complex)
     u[..., 0, 0] = ge * s
@@ -113,7 +113,7 @@ def build_mesh(spec: MeshSpec, params: np.ndarray | list[float]) -> np.ndarray:
     placed into the identity, so a zero of U may differ in sign from a full
     product's.  Raises ValueError when the phase count does not match.
     """
-    params = np.atleast_1d(wrap_phases(params))
+    params = np.atleast_1d(np.asarray(params, dtype=float))  # mzi_unitary wraps the phases
     if params.shape[-1] != spec.n_phases:
         raise ValueError(f"expected {spec.n_phases} phases for this mesh, got {params.shape[-1]}")
     m = spec.mode_count

@@ -6,8 +6,8 @@ the best cost stagnates while the simplex has collapsed (a failure mode typical
 under shot noise), the simplex is rebuilt around the best point with an enlarged
 edge.  ``nelder_mead`` (one run) and ``train`` (lockstep restarts) drive it.
 
-``Task`` is the cloning cost, evaluated a batch at a time by the exact kernel or a
-sampling evaluator; ``pc_task`` and ``sd_task`` build the paper's two.
+``Task`` is the cloning cost of a batch of points from one kernel call, read exactly or
+through a sampling draw; ``pc_task`` and ``sd_task`` build the paper's two.
 
 Parameters are kept unwrapped during the search; the cost is 2*pi-periodic
 so wrapping never changes its value.
@@ -42,10 +42,10 @@ CAPACITY = 2500
 
 #: A scalar cost: a float, or (float, (S, 3) outcomes) as ``Task.cost`` gives.
 CostFn = Callable[[np.ndarray], "float | tuple[float, np.ndarray]"]
-#: (params, states, restarts=None) -> (..., S, 3) outcomes of each (phase vector, state) pair,
-#: shaped like ``clone_outcomes``; ``restarts`` names the restart that asked for each phase
-#: vector (None: all restart 0).  ``Task`` calls one in place of the exact kernel.
-Evaluator = Callable[..., np.ndarray]
+#: (probabilities (B, S, 4), restarts) -> (B, S, 3) outcomes: a finite-shot draw from each
+#: row's coincidence-pattern probabilities, ``restarts`` naming the restart that asked for
+#: each row.  ``Task`` calls one in place of ``cloner.outcomes`` on a noisy run.
+Evaluator = Callable[[np.ndarray, Sequence[int]], np.ndarray]
 
 
 #: Nelder and Mead's standard coefficients (Comput. J. 7, 308 (1965)); then the reboot
@@ -400,9 +400,9 @@ class Task:
     symmetric terms of each state's (F1, F2), added state by state in order (accumulate;
     add.reduce may pair them up), plus ``lam`` times those of the first two states' P_post
     when ``lam`` is set.  ``costs(points, restarts)`` maps (B, dim) points, asked for by the
-    restarts named row by row, to their (B,) costs and (B, S, 3) outcomes from one
-    ``evaluator`` call (None: the exact kernel on ``spec``; a sampling one keeps a stream
-    per restart); ``cost`` is its batch of one, for restart 0.  ``states`` are the labels."""
+    restarts named row by row, to their (B,) costs and (B, S, 3) outcomes: ``outcomes`` of
+    one kernel call's pattern probabilities, or an ``evaluator``'s draw from them (keeping a
+    stream per restart).  ``cost`` is its batch of one, for restart 0.  ``states`` are the labels."""
 
     inputs: dict[str, QubitState]
     lam: float | None = None
@@ -412,6 +412,10 @@ class Task:
     def __post_init__(self) -> None:
         if self.lam is not None and self.lam < 0:
             raise ValueError("regularization weight must be non-negative")
+        if self.lam is not None and len(self.inputs) < 2:
+            raise ValueError(f"regularization needs at least two inputs, got {len(self.inputs)}")
+        if not self.inputs:
+            raise ValueError("the cost needs at least one input state")
         object.__setattr__(self, "spec", cloner.four_mode_spec(self.spec))
         object.__setattr__(self, "_kets", cloner.StateStack(self.inputs.values()))
 
@@ -424,10 +428,9 @@ class Task:
         return tuple(self.inputs)
 
     def costs(self, points: np.ndarray, restarts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        if self.evaluator is None:
-            outs = clone_outcomes(points, self._kets, spec=self.spec)
-        else:
-            outs = self.evaluator(points, self._kets, restarts)
+        # Looked up on the module, where perfbench/spans.py patches the kernel.
+        probs = cloner.measurement_path_probabilities(points, self._kets, self.spec)
+        outs = cloner.outcomes(probs) if self.evaluator is None else self.evaluator(probs, restarts)
         total = np.add.accumulate(_symmetric_terms(outs[..., 0], outs[..., 1]), axis=1)[:, -1]
         if self.lam is not None:
             total = total + self.lam * _symmetric_terms(outs[:, 0, 2], outs[:, 1, 2])

@@ -1,14 +1,14 @@
 """Finite-statistics emulation of the coincidence measurements.
 
 Each cost evaluation on hardware sets the phases once, then measures every
-training state with a finite number of two-fold coincidences.  Here one mesh
-build gives the measurement-stage distribution of every state at every phase
-vector of a call, whichever restarts asked for them.  Each restart draws its
-own rows from its own seeded generator, one multinomial call per run of its
-rows (one per restart: training passes rows in restart order), N trials per
-state (four coincidence patterns plus a rejected bin).  Fidelities are
-estimated from conditional counts as on the device, for all rows at once, by
-``cloner.outcomes``, which an exact run applies to the probabilities.
+training state with a finite number of two-fold coincidences.  Here the sampled
+evaluator draws from the pattern probabilities of the task's one kernel call
+per step: each restart its own rows, from its own seeded generator, in one
+multinomial call per run of its rows (one per restart: training passes rows in
+restart order), N trials per state (four coincidence patterns plus a rejected
+bin).  Fidelities are estimated from conditional counts as on the device, for
+all rows at once, by ``cloner.outcomes``, which an exact run applies to the
+probabilities.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cloner import QubitState, four_mode_spec, measurement_path_probabilities, outcomes
+# measurement_path_probabilities is unused here; it stays because perfbench/spans.py patches it.
+from .cloner import measurement_path_probabilities, outcomes  # noqa: F401
 from .mesh import MeshSpec
 
 #: The most shots one evaluation can draw: numpy's multinomial takes a C long.
@@ -116,31 +117,25 @@ def estimate_outcome(counts: np.ndarray | list[int], shots: int) -> EstimatedOut
     return EstimatedOutcome(f1, f2, p_post, coincidences, shots, coincidences > 0)
 
 
-def sampled_evaluator(noise: NoiseConfig, spec: MeshSpec | None = None) -> Callable[..., np.ndarray]:
-    """Evaluator (params, states, restarts=None) -> (..., S, 3) outcomes, shaped like
-    ``clone_outcomes``, for a noisy run; an exact run uses the kernel itself.
+def sampled_evaluator(noise: NoiseConfig, spec: MeshSpec | None = None
+                      ) -> Callable[[np.ndarray, Sequence[int]], np.ndarray]:
+    """Evaluator (probabilities (B, S, 4), restarts) -> (B, S, 3) outcomes for a noisy
+    run: the draw between ``Task``'s kernel call and ``cloner.outcomes``.
 
-    ``restarts`` names the restart that asked for each phase vector (None: all
-    restart 0).  Each call builds the mesh once for all phase vectors, and
-    restart r draws the counts of its own rows, in order, in one multinomial
-    call on its own generator, ``default_rng(noise.seed + r)``, made on first
-    use.  So each restart's sample stream is the one a single-stream evaluator
-    seeded ``noise.seed + r`` would give it, whatever it shares a call with,
-    and a fixed seed gives a deterministic run.
+    ``restarts`` names the restart that asked for each row.  Restart r draws the
+    counts of its rows, in order, in one multinomial call on its own generator,
+    ``default_rng(noise.seed + r)``, made on first use; so its sample stream is
+    the one a single-stream evaluator seeded ``noise.seed + r`` would give it,
+    whatever it shares a call with.  ``spec`` is unused; perfbench/child.py passes it.
     """
     if noise.shots is None:
         raise ValueError("sampled_evaluator needs a shot count; exact runs use the kernel")
-    spec = four_mode_spec(spec)
     shots, rngs = noise.shots, {}
 
-    def evaluate(params: np.ndarray, states: Sequence[QubitState],
-                 restarts: Sequence[int] | None = None) -> np.ndarray:
-        probs = measurement_path_probabilities(params, states, spec)
-        rows = probs.reshape(-1, *probs.shape[-2:])
-        owners = np.zeros(len(rows), dtype=int) if restarts is None else np.asarray(restarts)
+    def evaluate(probs: np.ndarray, restarts: Sequence[int]) -> np.ndarray:
+        owners = np.asarray(restarts)
         for r in set(owners.tolist()) - rngs.keys():
             rngs[r] = np.random.default_rng(noise.seed + r)
-        counts = sample_counts(rows, shots, rngs, owners)
-        return outcomes(counts, shots).reshape(*probs.shape[:-1], 3)
+        return outcomes(sample_counts(probs, shots, rngs, owners), shots)
 
     return evaluate

@@ -240,11 +240,12 @@ def test_criterion_10_shot_noise(record):
     params = best.best_point
     psi = QubitState.equatorial(0.7)
     exact = cloner.measurement_path_outcome(params, psi)
+    probs = cloner.measurement_path_probabilities(params[None], [psi])
     reps = 200
     f1s, f2s = [], []
     for seed in range(reps):
         evaluate = sampler.sampled_evaluator(sampler.NoiseConfig(shots=10_000, seed=seed))
-        f1, f2, _ = evaluate(params, [psi])[0]
+        f1, f2, _ = evaluate(probs, [0])[0, 0]
         f1s.append(f1)
         f2s.append(f2)
     unbiased = True

@@ -588,8 +588,7 @@ def test_report_prints_aborted_restart(tmp_path, runner):
 
 
 def test_train_prints_aborted_restart(tmp_path, runner, monkeypatch):
-    monkeypatch.setattr(optimizer, "clone_outcomes",
-                        lambda params, states, **kw: np.full((len(params), len(states), 3), np.nan))
+    monkeypatch.setattr(cloner, "outcomes", lambda probs, shots=1: np.full((*probs.shape[:-1], 3), np.nan))
     path = write_config(tmp_path / "cfg.json", restarts=1)
     result = runner.invoke(main, ["train", "--config", str(path), "--out", str(tmp_path / "run")])
     assert result.exit_code == 0, result.output
@@ -597,8 +596,7 @@ def test_train_prints_aborted_restart(tmp_path, runner, monkeypatch):
 
 
 def test_train_writes_strict_json_when_every_restart_aborts(tmp_path, runner, monkeypatch):
-    monkeypatch.setattr(optimizer, "clone_outcomes",
-                        lambda params, states, **kw: np.full((len(params), len(states), 3), np.nan))
+    monkeypatch.setattr(cloner, "outcomes", lambda probs, shots=1: np.full((*probs.shape[:-1], 3), np.nan))
     path = write_config(tmp_path / "cfg.json")
     out = tmp_path / "run"
     result = runner.invoke(main, ["train", "--config", str(path), "--out", str(out)])

@@ -19,7 +19,7 @@ from vclone.fock import (
     semiclassical_monte_carlo,
 )
 from vclone.mesh import MeshSpec
-from vclone.optimizer import pc_task, sd_task
+from vclone.optimizer import Task, pc_task, sd_task
 
 from sd_pairs import DEFAULT_SD_PAIRS
 
@@ -235,13 +235,13 @@ def test_cost_pc_hand_assembled():
 
 def test_cost_pc_five_sixths_arithmetic():
     # Hypothetical F1 = F2 = 5/6 on every training state: 4 * 2 * (1/6)^2.
-    stub = lambda params, states, restarts: np.tile([5 / 6, 5 / 6, 1.0], (len(params), len(states), 1))
+    stub = lambda probs, restarts: np.tile([5 / 6, 5 / 6, 1.0], (*probs.shape[:-1], 1))
     cost, _ = pc_task(evaluator=stub).cost(np.zeros(12))
     assert cost == pytest.approx(2 / 9, abs=1e-14)
 
 
 def test_cost_pc_all_perfect_is_zero():
-    stub = lambda params, states, restarts: np.ones((len(params), len(states), 3))
+    stub = lambda probs, restarts: np.ones((*probs.shape[:-1], 3))
     cost, _ = pc_task(evaluator=stub).cost(np.zeros(12))
     assert cost == 0.0
 
@@ -250,7 +250,7 @@ def test_cost_pc_swap_symmetry():
     # Exchanging the roles of clone 1 and clone 2 (F1 <-> F2) leaves the cost unchanged.
     rng = np.random.default_rng(10)
     params = _random_params(rng)
-    swapped = lambda params, states, restarts: cloner.clone_outcomes(params, states)[..., [1, 0, 2]]
+    swapped = lambda probs, restarts: cloner.outcomes(probs)[..., [1, 0, 2]]
     assert cost_pc(params) == pytest.approx(pc_task(evaluator=swapped).cost(params)[0], abs=1e-12)
 
 
@@ -291,6 +291,18 @@ def test_cost_sd_lambda_zero_drops_regularization():
 def test_cost_sd_rejects_negative_lambda():
     with pytest.raises(ValueError):
         sd_task(*DEFAULT_SD_PAIRS[0], lam=-0.5)
+
+
+def test_task_rejects_too_few_inputs():
+    # The cost sums over the states, and the regularization compares the first two
+    # states' P_post: too few states fail when the task is built, naming the problem,
+    # not at its first cost.
+    for inputs in ({}, {"A": QubitState(0.3, 0.0)}):
+        with pytest.raises(ValueError, match="at least two inputs"):
+            Task(inputs, lam=1.0)
+    with pytest.raises(ValueError, match="at least one input"):
+        Task({})
+    assert Task({"A": QubitState(0.3, 0.0)}).cost(np.zeros(12))[1].shape == (1, 3)
 
 
 def test_cost_periodicity_on_torus():

@@ -86,6 +86,14 @@ def test_single_mzi_mesh_matches_cell():
     assert np.allclose(build_mesh(spec, [theta, phi]), mzi_unitary(theta, phi), atol=1e-12)
 
 
+def test_single_mzi_mesh_equals_cell_just_below_zero():
+    # A phase in about [-4.4e-16, 0) wraps to 0, in the cell as in the mesh; one %
+    # alone would round it to 2*pi and build the cell at theta = 2*pi.
+    spec = MeshSpec(mode_count=2, cell_pairs=((0, 1),))
+    for theta, phi in ((-1e-17, 0.3), (0.9, -1e-17), (-1e-17, -1e-17)):
+        assert np.array_equal(build_mesh(spec, [theta, phi]), mzi_unitary(theta, phi))
+
+
 def test_four_mode_all_zero_phases_hand_composed():
     # Oracle: compose the six all-cross cells by hand, writing the embedded
     # 4x4 factors out explicitly instead of going through embed().

@@ -181,11 +181,11 @@ def test_wrapping_recorded_points_preserves_cost():
         assert value == pytest.approx(cost, abs=1e-12)
 
 
-def test_evaluation_accounting(monkeypatch):
-    # Lockstep restarts sharing one task: each kernel call covers the rows the
-    # restarts asked for, times the four training states.
-    calls, asked = [], []
-    real, real_search = optimizer.clone_outcomes, optimizer.search
+def _check_evaluation_accounting(monkeypatch, task):
+    # Lockstep restarts sharing one task: each step makes one kernel call, exact or
+    # noisy, covering the rows the restarts asked for, times the four training states.
+    calls, asked, steps = [], [], []
+    real, real_search, real_costs = cloner.measurement_path_probabilities, optimizer.search, optimizer.Task.costs
 
     def counting(params, states, *args, **kwargs):
         calls.append((len(np.atleast_2d(params)), len(states)))
@@ -201,9 +201,14 @@ def test_evaluation_accounting(monkeypatch):
             except StopIteration as stop:
                 return stop.value
 
-    monkeypatch.setattr(optimizer, "clone_outcomes", counting)
+    def counting_costs(self, points, restarts):
+        steps.append(len(points))
+        return real_costs(self, points, restarts)
+
+    monkeypatch.setattr(cloner, "measurement_path_probabilities", counting)
     monkeypatch.setattr(optimizer, "search", counting_search)
-    _, traces = train(pc_task(), NMConfig(max_evaluations=40, seed=9), restarts=3)
+    monkeypatch.setattr(optimizer.Task, "costs", counting_costs)
+    _, traces = train(task, NMConfig(max_evaluations=40, seed=9), restarts=3)
     evaluations = sum(t.n_evaluations for t in traces)
     states = len(cloner.TRAINING_PHASES)
     assert sum(rows * n for rows, n in calls) == states * evaluations
@@ -211,6 +216,15 @@ def test_evaluation_accounting(monkeypatch):
     assert sum(rows for rows, _ in calls) == sum(asked) == evaluations
     assert calls[0][0] == 3 * 13  # the first call holds the three simplex builds
     assert max(rows for rows, _ in calls) <= 3 * 13
+    assert [rows for rows, _ in calls] == steps  # one kernel call per lockstep step
+
+
+def test_evaluation_accounting(monkeypatch):
+    _check_evaluation_accounting(monkeypatch, pc_task())
+
+
+def test_evaluation_accounting_noisy(monkeypatch):
+    _check_evaluation_accounting(monkeypatch, pc_task(evaluator=sampled_evaluator(NoiseConfig(shots=500, seed=3))))
 
 
 def assert_same_columns(a: OptimizationTrace, b: OptimizationTrace) -> None:
@@ -647,7 +661,7 @@ def test_task_costs_round_as_python_floats():
     # Noisy trajectories hang on the last bit of each cost: Python's ** (libm
     # pow) and numpy's square round differently on some inputs.
     outs = np.random.default_rng(3).random((20_000, 2, 3))
-    task = sd_task(*DEFAULT_SD_PAIRS[0], lam=0.5, evaluator=lambda params, states, restarts: outs)
+    task = sd_task(*DEFAULT_SD_PAIRS[0], lam=0.5, evaluator=lambda probs, restarts: outs)
     costs, outcomes = task.costs(np.zeros((len(outs), 12)), [0] * len(outs))
     assert outcomes is outs
     want = []

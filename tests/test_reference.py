@@ -99,7 +99,7 @@ def test_cost_bits_equal_reference(data):
         outs[mark < 0.1], outs[mark > 0.9] = 0.0, 1.0
         outs[rng.random((rows, len(inputs))) < 0.1] = 0.0
         outs[np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))] = 0.0
-        task = Task(inputs, lam, evaluator=lambda params, states, restarts: outs)
+        task = Task(inputs, lam, evaluator=lambda probs, restarts: outs)
         points = np.zeros((rows, 12))
 
     costs, outs = task.costs(points, [0] * rows)

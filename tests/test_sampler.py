@@ -203,11 +203,12 @@ def test_estimator_unbiased():
     params = rng.uniform(0, 2 * np.pi, 12)
     psi = QubitState.equatorial(0.7)
     exact = measurement_path_outcome(params, psi)
+    probs = measurement_path_probabilities(params[None], [psi])
     reps = 200
     f1s, f2s = [], []
     for seed in range(reps):
         evaluate = sampled_evaluator(NoiseConfig(shots=10_000, seed=seed))
-        f1, f2, _ = evaluate(params, [psi])[0]
+        f1, f2, _ = evaluate(probs, [0])[0, 0]
         f1s.append(f1)
         f2s.append(f2)
     for values, truth in ((f1s, exact.f1), (f2s, exact.f2)):
@@ -222,11 +223,12 @@ def test_large_n_consistency():
     params = rng.uniform(0, 2 * np.pi, 12)
     psi = QubitState.equatorial(2.0)
     exact = measurement_path_outcome(params, psi)
+    probs = measurement_path_probabilities(params[None], [psi])
     misses = 0
     trials = 50
     for seed in range(trials):
         evaluate = sampled_evaluator(NoiseConfig(shots=1_000_000, seed=seed))
-        f1, f2, _ = evaluate(params, [psi])[0]
+        f1, f2, _ = evaluate(probs, [0])[0, 0]
         if abs(f1 - exact.f1) >= 0.005 or abs(f2 - exact.f2) >= 0.005:
             misses += 1
     assert misses == 0
@@ -235,11 +237,11 @@ def test_large_n_consistency():
 def test_sampled_evaluator_deterministic_stream():
     rng = np.random.default_rng(6)
     params = rng.uniform(0, 2 * np.pi, 12)
-    psi = QubitState.equatorial(0.2)
+    probs = measurement_path_probabilities(params[None], [QubitState.equatorial(0.2)])
 
     def collect():
         evaluate = sampled_evaluator(NoiseConfig(shots=2000, seed=11))
-        return [(evaluate(params, [psi])[0, 0], evaluate(params, [psi])[0, 1]) for _ in range(3)]
+        return [(evaluate(probs, [0])[0, 0, 0], evaluate(probs, [0])[0, 0, 1]) for _ in range(3)]
 
     assert collect() == collect()
 
